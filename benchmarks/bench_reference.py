@@ -11,10 +11,11 @@ regression guard is machine-independent: the total ``sim_events``
 over each grid must equal the recorded value exactly — the fast core
 must never change which events execute.
 
-``test_shard_merge_smoke`` runs a tiny sweep as two shards through
-the real CLI and asserts the merged manifest is byte-identical to the
-unsharded one — the cross-machine workflow of docs/sharding.md in
-miniature.
+``test_shard_merge_smoke`` runs a tiny sweep as two shards, each in
+its own cache dir, through the real CLI; one ``sweep --from-cache``
+per shard dir then executes nothing and writes a manifest
+byte-identical to the unsharded one — the cross-machine workflow of
+docs/sharding.md in miniature.
 """
 
 import json
@@ -68,23 +69,34 @@ def test_reference_grids():
     append_bench_record("reference_grids", record)
 
 
-def test_shard_merge_smoke(tmp_path):
+def test_shard_merge_smoke(tmp_path, capsys):
     from repro.scenarios.cli import main
+    from repro.scenarios.runner import clear_memo
 
     sets = [
         "--set", "workload.app=heat", "--set", "workload.n=64",
         "--set", "workload.nit=30", "--set", "workload.level=O0,O1",
         "--set", "n_peers=2,4",
     ]
+
+    def sweep(cache, *extra):
+        return main(["sweep", "fig10-cluster-o3", "--serial",
+                     "--label", "tiny", "--cache-dir", str(cache)]
+                    + sets + list(extra))
+
     plain = tmp_path / "plain"
-    sharded = tmp_path / "sharded"
-    assert main(["sweep", "fig10-cluster-o3", "--serial", "--label", "tiny",
-                 "--cache-dir", str(plain)] + sets) == 0
-    for shard in ("0/2", "1/2"):
-        assert main(["sweep", "fig10-cluster-o3", "--serial",
-                     "--label", "tiny", "--cache-dir", str(sharded),
-                     "--shard", shard] + sets) == 0
-    assert main(["merge-shards", "tiny", "--cache-dir", str(sharded)]) == 0
-    merged = (sharded / "sweeps" / "tiny.json").read_bytes()
-    unsharded = (plain / "sweeps" / "tiny.json").read_bytes()
-    assert merged == unsharded, "merged shard manifest is not byte-identical"
+    assert sweep(plain) == 0
+    shards = []
+    for i in range(2):
+        clear_memo()
+        shards.append(tmp_path / f"shard{i}")
+        assert sweep(shards[-1], "--shard", f"{i}/2") == 0
+    clear_memo()  # the re-run must be served from the unioned disk
+    capsys.readouterr()
+    merged = tmp_path / "merged"
+    assert sweep(merged, "--from-cache", str(shards[0]),
+                 "--from-cache", str(shards[1])) == 0
+    assert "4 from cache, 0 executed" in capsys.readouterr().out
+    assert ((merged / "sweeps" / "tiny.json").read_bytes()
+            == (plain / "sweeps" / "tiny.json").read_bytes()), \
+        "shard-union manifest is not byte-identical"

@@ -1,15 +1,16 @@
 """The work-stealing dispatcher: points out, liveness in, one manifest.
 
-``FleetDispatcher`` replaces static ``--shard i/N`` partitioning with
-dynamic stealing: every grid point is an individually claimable task
-in a shared fleet directory, local worker processes are spawned (and
-respawned) by the dispatcher, and remote machines join by pointing
-``python -m repro.fleet worker`` at the same directory.  A slow
-worker strands nothing — whatever it doesn't claim, someone else
-does; a *dead* worker's claimed points are detected by heartbeat
-silence and requeued with exponential backoff; a point that keeps
-killing workers is quarantined as poison after its retry budget and
-reported, never retried forever.
+``FleetDispatcher`` spreads a grid by dynamic stealing: every grid
+point is an individually claimable task in a shared fleet directory,
+local worker processes are spawned (and respawned) by the dispatcher,
+and remote machines join by pointing ``python -m repro.fleet worker``
+at the same directory.  A slow worker strands nothing — whatever it
+doesn't claim, someone else does; a *dead* worker's claimed points are
+detected by heartbeat silence and requeued with exponential backoff; a
+point that keeps killing workers is quarantined as poison after its
+retry budget and reported, never retried forever.  (Static
+``sweep --shard i/N`` slices remain for machines that share no
+filesystem; the fleet needs a shared mount.)
 
 The output contract is the sweep's: the dispatcher writes a sweep
 manifest through the shared canonical serializer, **byte-identical**
@@ -37,8 +38,8 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..scenarios import manifest as sweep_manifest
-from ..scenarios import platforms, workloads
-from ..scenarios.runner import ResultCache, ScenarioResult, memo_get
+from ..scenarios import workloads
+from ..scenarios.runner import ResultCache, ScenarioResult, cached_result
 from ..scenarios.spec import ScenarioSpec
 from .protocol import (
     DEFAULT_BACKOFF_BASE,
@@ -232,7 +233,7 @@ class FleetDispatcher:
             if i in done:
                 hits += 1  # resumed from a previous run of this fleet
                 continue
-            result = memo_get(spec.spec_hash()) or cache.get(spec)
+            result = cached_result(spec, cache)
             if result is not None:
                 self.dirs.mark_done({
                     "index": i, "name": spec.name,
@@ -247,24 +248,6 @@ class FleetDispatcher:
                 "spec": spec.to_dict(), "attempt": 1,
             })
         return hits
-
-    def _prime_traces(self) -> None:
-        """Pay the dPerf calibration once, into the persistent trace
-        cache, so fresh worker processes load pickles instead of
-        interpreting mini-C (mirrors ``SweepRunner._prime_templates``,
-        minus the fork-inherited platform builds — fleet workers are
-        not forks)."""
-        workloads.set_trace_cache_dir(str(self.cache_dir / "traces"))
-        seen = set()
-        for spec in self.specs:
-            platforms.build_platform(spec.platform)
-            if spec.kind not in ("reference", "predict"):
-                continue
-            w = spec.workload
-            recipe = (w.app, spec.n_peers, w.level, w.n, w.nit)
-            if recipe not in seen:
-                seen.add(recipe)
-                workloads.traces(*recipe)
 
     # -- worker processes ---------------------------------------------------
     def _spawn_worker(self) -> None:
@@ -351,7 +334,10 @@ class FleetDispatcher:
         reassignments: Dict[int, int] = {}
         unresolved = len(self.specs) - len(self.dirs.done_indices())
         if unresolved > 0:
-            self._prime_traces()
+            # the dPerf calibration, paid once into the trace cache;
+            # no platform builds — fresh worker processes could not
+            # inherit them
+            workloads.prime_traces(self.specs, self.cache_dir / "traces")
             for _ in range(min(self.workers, unresolved)):
                 self._spawn_worker()
         try:

@@ -441,8 +441,8 @@ class ResultStore:
     def backfill(self, sweeps: os.PathLike | str) -> Dict[str, int]:
         """Absorb every complete sweep manifest under ``sweeps``.
 
-        Partial manifests (killed sweeps) and shard manifests are
-        skipped — the store indexes *finished* sweeps; merge or rerun
+        Partial manifests (killed sweeps) and legacy shard manifests
+        are skipped — the store indexes *finished* sweeps; rerun
         first.  Returns ``{"manifests", "absorbed",
         "already_indexed", "points", "skipped_manifests"}``:
         ``absorbed`` counts manifests that contributed at least one
@@ -461,6 +461,9 @@ class ResultStore:
             except (OSError, ValueError):
                 skipped += 1
                 continue
+            # sweeps no longer write shard manifests, but cache dirs
+            # from before still hold them: each is one slice of a grid
+            # filed under the full grid's label, so it stays refused
             if (not isinstance(payload, dict) or "points" not in payload
                     or "label" not in payload or payload.get("partial")
                     or "shard" in payload):

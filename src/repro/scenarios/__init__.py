@@ -29,7 +29,6 @@ from .runner import (
     run_cached,
     run_scenario,
     shard_indices,
-    shard_specs,
 )
 from .spec import (
     ChurnEventSpec,
@@ -64,6 +63,5 @@ __all__ = [
     "run_scenario",
     "scenario_names",
     "shard_indices",
-    "shard_specs",
     "spread_hosts",
 ]

@@ -39,14 +39,19 @@ cell it shadows — the prediction-gap table of docs/prediction-grid.md::
     python -m repro.scenarios gap prediction-grid \
         --over seed --over prediction_error.kind
 
-Grids shard across machines deterministically (partitioned by spec
-hash, so no coordination is needed) and merge back into a manifest
-byte-identical to the unsharded sweep (docs/sharding.md)::
+Grids shard across machines that share no filesystem: ``--shard i/N``
+runs a deterministic slice (partitioned by spec hash, so no
+coordination is needed) into that machine's cache and writes no
+manifest.  Collect the shard caches, and one ``sweep`` with a
+repeatable ``--from-cache DIR`` unions them and serves every point
+from cache — its manifest is byte-identical to the unsharded sweep's
+(docs/sharding.md)::
 
     python -m repro.scenarios sweep churn-grid --shard 0/3
     python -m repro.scenarios sweep churn-grid --shard 1/3   # machine 2
     python -m repro.scenarios sweep churn-grid --shard 2/3   # machine 3
-    python -m repro.scenarios merge-shards churn-grid
+    python -m repro.scenarios sweep churn-grid \
+        --from-cache /mnt/m2-cache --from-cache /mnt/m3-cache
 
 See ``repro.analysis.compare_sweeps`` for the matching rules.
 """
@@ -58,19 +63,12 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Sequence, Tuple
 
 from ..params import parse_grid_sets, parse_value
 from .manifest import dump_manifest, manifest_payload, point_entry, sweeps_dir
 from .registry import get_scenario, scenario_names, SCENARIOS
-from .runner import (
-    ResultCache,
-    ScenarioResult,
-    SweepRunner,
-    atomic_write_bytes,
-    expand_grid,
-    shard_indices,
-)
+from .runner import ScenarioResult, SweepRunner, expand_grid, shard_indices
 from .spec import ScenarioSpec
 
 #: Default on-disk cache location (overridable per invocation).
@@ -149,70 +147,49 @@ def cmd_show(args: argparse.Namespace) -> int:
 
 
 # canonical manifest helpers live in .manifest (shared with the fleet
-# dispatcher — byte-identity across writers); historical private names
-# kept for this module's own call sites
-_sweeps_dir = sweeps_dir
+# dispatcher — byte-identity across writers); the serializer is bound
+# under a module name so tests can observe every manifest write
 _dump_manifest = dump_manifest
-_manifest_payload = manifest_payload
-_point_entry = point_entry
 
 
-def _check_label(label: str | None) -> None:
+def _check_label_args(args: argparse.Namespace) -> None:
     """Reject labels that would escape the sweeps directory — before
     the (possibly long) sweep runs, not after."""
+    label = args.label
     if label is None:
         return
     if not label or label != Path(label).name or label in (".", ".."):
         raise _UsageError(
             f"--label must be a plain file name, got {label!r}"
         )
-
-
-def _check_label_args(args: argparse.Namespace) -> None:
-    _check_label(args.label)
-    if args.label is not None and args.no_cache:
+    if args.no_cache:
         raise _UsageError(
             "--label needs the on-disk cache to record a sweep "
             "manifest; drop --no-cache"
         )
 
 
-def _manifest_path(args: argparse.Namespace, scenario: str) -> Path:
-    label = args.label or scenario
-    shard = getattr(args, "shard", None)
-    name = (f"{label}.shard{shard[0]}of{shard[1]}.json" if shard
-            else f"{label}.json")
-    return _sweeps_dir(args.cache_dir) / name
+def _records_manifest(args: argparse.Namespace) -> bool:
+    """Whether this run records a sweep manifest: not without the
+    on-disk cache, and not for a shard — a shard's output is its
+    cache entries alone."""
+    return not args.no_cache and not getattr(args, "shard", None)
 
 
 def _write_manifest(args: argparse.Namespace, scenario: str,
                     specs: Sequence[ScenarioSpec],
                     results: Sequence[ScenarioResult],
-                    indices: Optional[Sequence[int]] = None,
-                    n_points: int = 0,
                     partial: bool = False) -> None:
     """Record the sweep (points + results) for later `compare` calls.
-
-    A *shard* manifest additionally records each point's index in the
-    full grid plus the shard geometry, which is exactly what
-    ``merge-shards`` needs to reassemble the unsharded manifest byte
-    for byte.  ``partial`` marks an in-flight incremental manifest.
-    """
-    if args.no_cache:
+    ``partial`` marks an in-flight incremental manifest."""
+    if not _records_manifest(args):
         return
     label = args.label or scenario
-    points = [_point_entry(s, r) for s, r in zip(specs, results)]
-    payload = _manifest_payload(label, scenario, points)
-    shard = getattr(args, "shard", None)
-    if shard is not None:
-        index, count = shard
-        for entry, grid_index in zip(payload["points"], indices or ()):
-            entry["index"] = grid_index
-        payload["shard"] = {"index": index, "count": count,
-                            "n_points": n_points}
+    points = [point_entry(s, r) for s, r in zip(specs, results)]
+    payload = manifest_payload(label, scenario, points)
     if partial:
         payload["partial"] = True
-    path = _manifest_path(args, scenario)
+    path = sweeps_dir(args.cache_dir) / f"{label}.json"
     _dump_manifest(payload, path)
     if not partial:
         print(f"# sweep manifest: {path}")
@@ -226,7 +203,7 @@ def _load_manifest(ref: str, cache_dir: str) -> Dict[str, Any]:
     a recorded sweep.
     """
     looks_like_path = os.sep in ref or ref.endswith(".json")
-    candidates = [_sweeps_dir(cache_dir) / f"{ref}.json", Path(ref)]
+    candidates = [sweeps_dir(cache_dir) / f"{ref}.json", Path(ref)]
     if looks_like_path:
         candidates.reverse()
     for path in candidates:
@@ -249,8 +226,8 @@ def _load_manifest(ref: str, cache_dir: str) -> Dict[str, Any]:
                 )
             return payload
     known = sorted(
-        p.stem for p in _sweeps_dir(cache_dir).glob("*.json")
-    ) if _sweeps_dir(cache_dir).is_dir() else []
+        p.stem for p in sweeps_dir(cache_dir).glob("*.json")
+    ) if sweeps_dir(cache_dir).is_dir() else []
     raise _UsageError(
         f"no sweep manifest {ref!r} (looked for "
         f"{' and '.join(str(c) for c in candidates)}); "
@@ -273,203 +250,72 @@ def _parse_shard(text: str) -> Tuple[int, int]:
 
 
 def _incremental_writer(args: argparse.Namespace, scenario: str,
-                        specs: Sequence[ScenarioSpec],
-                        indices: Sequence[int], n_points: int):
+                        specs: Sequence[ScenarioSpec]):
     """The incremental-manifest hook: after every computed point the
     manifest is rewritten (atomically) with everything completed so
-    far, so a killed sweep or shard leaves a ``"partial": true``
-    record of its progress — and its worker-written cache entries make
-    the rerun resume instead of recompute."""
-    if args.no_cache:
+    far, so a killed sweep leaves a ``"partial": true`` record of its
+    progress.  Resume itself comes from the cache: every computed
+    point is persisted before this hook sees it."""
+    if not _records_manifest(args):
         return None
     landed: Dict[str, ScenarioResult] = {}
 
     def on_result(spec: ScenarioSpec, result: ScenarioResult) -> None:
         landed[spec.spec_hash()] = result
-        done = [(i, s, landed[s.spec_hash()])
-                for i, s in zip(indices, specs)
-                if s.spec_hash() in landed]
-        _write_manifest(
-            args, scenario,
-            [s for _i, s, _r in done], [r for _i, _s, r in done],
-            indices=[i for i, _s, _r in done], n_points=n_points,
-            partial=True,
-        )
+        done = [s for s in specs if s.spec_hash() in landed]
+        _write_manifest(args, scenario, done,
+                        [landed[s.spec_hash()] for s in done], partial=True)
 
     return on_result
+
+
+def _execute(args: argparse.Namespace, runner: SweepRunner,
+             scenario: str, specs: Sequence[ScenarioSpec]) -> int:
+    """Run ``specs`` cache-first, report, and record the manifest."""
+    on_result = _incremental_writer(args, scenario, specs)
+    results = runner.run(specs, parallel=not args.serial,
+                         on_result=on_result)
+    _print_results(results, runner)
+    _write_manifest(args, scenario, specs, results)
+    return 0 if all(r.ok for r in results) else 1
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     _check_label_args(args)
     entry = _resolve(get_scenario, args.name)
-    runner = _runner(args)
-    specs = entry.points()
-    indices = list(range(len(specs)))
-    on_result = _incremental_writer(args, entry.name, specs, indices,
-                                    len(specs))
-    results = runner.run(specs, parallel=not args.serial,
-                         on_result=on_result)
-    _print_results(results, runner)
-    _write_manifest(args, entry.name, specs, results)
-    return 0 if all(r.ok for r in results) else 1
+    return _execute(args, _runner(args), entry.name, entry.points())
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     _check_label_args(args)
+    sources = args.from_cache or []
+    if sources and args.no_cache:
+        raise _UsageError(
+            "--from-cache unions into the on-disk cache; drop --no-cache"
+        )
+    for source in sources:
+        if not Path(source).is_dir():
+            raise _UsageError(f"--from-cache {source}: no such directory")
     entry = _resolve(get_scenario, args.name)
     grid = _parse_sets(args.set or [])
     # --set replaces the registered grid wholesale; without it the
     # entry's own points run — *including* extra grid sheets
     # (prediction-grid's error ablation) that one cartesian product
     # over the main grid cannot express
-    full = (_resolve(expand_grid, entry.base, grid) if grid
-            else entry.points())
-    args.shard = _parse_shard(args.shard) if args.shard else None
-    if args.shard is not None:
-        index, count = args.shard
-        indices = shard_indices(full, index, count)
-        specs = [full[i] for i in indices]
+    specs = (_resolve(expand_grid, entry.base, grid) if grid
+             else entry.points())
+    if args.shard:
+        index, count = _parse_shard(args.shard)
+        n_points = len(specs)
+        specs = [specs[i] for i in shard_indices(specs, index, count)]
         print(f"# shard {index}/{count}: {len(specs)} of "
-              f"{len(full)} points")
-    else:
-        specs, indices = full, list(range(len(full)))
+              f"{n_points} points")
     runner = _runner(args)
-    on_result = _incremental_writer(args, entry.name, specs, indices,
-                                    len(full))
-    results = runner.run(specs, parallel=not args.serial,
-                         on_result=on_result)
-    _print_results(results, runner)
-    _write_manifest(args, entry.name, specs, results, indices=indices,
-                    n_points=len(full))
-    return 0 if all(r.ok for r in results) else 1
-
-
-def _load_shard_manifests(args: argparse.Namespace) -> List[Dict[str, Any]]:
-    if args.shards:
-        paths = [Path(p) for p in args.shards]
-    else:
-        pattern = f"{args.label}.shard*of*.json"
-        paths = sorted(_sweeps_dir(args.cache_dir).glob(pattern))
-    if not paths:
-        raise _UsageError(
-            f"no shard manifests for label {args.label!r} under "
-            f"{_sweeps_dir(args.cache_dir)} (run sweeps with --shard "
-            f"i/N first, or pass explicit paths via --shards)"
-        )
-    manifests = []
-    for path in paths:
-        if not path.is_file():
-            raise _UsageError(f"shard manifest {path} does not exist")
-        try:
-            payload = json.loads(path.read_text())
-        except ValueError as exc:
-            raise _UsageError(f"{path} is not a manifest ({exc})") from None
-        if "shard" not in payload:
-            raise _UsageError(
-                f"{path} is not a *shard* manifest (no shard geometry); "
-                f"it may already be merged"
-            )
-        payload["_path"] = str(path)
-        manifests.append(payload)
-    return manifests
-
-
-def cmd_merge_shards(args: argparse.Namespace) -> int:
-    """Union shard manifests (and optionally shard caches) into one
-    ``compare``-ready manifest, byte-identical to an unsharded sweep."""
-    _check_label(args.label)
-    manifests = _load_shard_manifests(args)
-    scenario = manifests[0].get("scenario")
-    count = manifests[0]["shard"]["count"]
-    n_points = manifests[0]["shard"]["n_points"]
-    by_index: Dict[int, Dict[str, Any]] = {}
-    hash_of: Dict[str, str] = {}
-    seen_shards = set()
-    for payload in manifests:
-        path = payload["_path"]
-        if payload.get("partial"):
-            raise _UsageError(
-                f"{path} is a partial manifest (its sweep was killed "
-                f"mid-flight); rerun that shard — its cache makes the "
-                f"rerun resume — then merge"
-            )
-        if payload.get("label") != args.label:
-            raise _UsageError(
-                f"{path} belongs to label {payload.get('label')!r}, "
-                f"not {args.label!r}"
-            )
-        if payload.get("scenario") != scenario:
-            raise _UsageError(
-                f"{path} ran scenario {payload.get('scenario')!r}, "
-                f"expected {scenario!r}"
-            )
-        geometry = payload["shard"]
-        if geometry["count"] != count or geometry["n_points"] != n_points:
-            raise _UsageError(
-                f"{path} has shard geometry {geometry['index']}/"
-                f"{geometry['count']} over {geometry['n_points']} points; "
-                f"expected N={count} over {n_points}"
-            )
-        if geometry["index"] in seen_shards:
-            raise _UsageError(
-                f"duplicate shard index {geometry['index']} ({path})"
-            )
-        seen_shards.add(geometry["index"])
-        for entry in payload["points"]:
-            index = entry.get("index")
-            if index is None:
-                raise _UsageError(f"{path}: point {entry['name']!r} "
-                                  f"carries no grid index")
-            known = hash_of.get(entry["name"])
-            if known is not None and known != entry["spec_hash"]:
-                raise _UsageError(
-                    f"conflicting spec hashes for point {entry['name']!r} "
-                    f"under label {args.label!r}: {known} vs "
-                    f"{entry['spec_hash']} — the shards were run from "
-                    f"different grids or schema versions; re-run them "
-                    f"from one grid before merging"
-                )
-            hash_of[entry["name"]] = entry["spec_hash"]
-            if index in by_index:
-                raise _UsageError(
-                    f"grid index {index} appears in two shards "
-                    f"({by_index[index]['name']!r} and {entry['name']!r})"
-                )
-            by_index[index] = entry
-    missing = [i for i in range(n_points) if i not in by_index]
-    if missing:
-        have = sorted(seen_shards)
-        raise _UsageError(
-            f"merge is incomplete: {len(missing)} of {n_points} grid "
-            f"points missing (have shards {have} of {count}); run the "
-            f"remaining shards first"
-        )
-    points = []
-    for i in range(n_points):
-        entry = dict(by_index[i])
-        del entry["index"]
-        points.append(entry)
-    merged = _manifest_payload(args.label, scenario, points)
-    out = _sweeps_dir(args.cache_dir) / f"{args.label}.json"
-    _dump_manifest(merged, out)
-    print(f"# merged {len(manifests)} shards -> {out}")
-    copied = 0
-    for source in args.from_cache or ():
-        copied += ResultCache(args.cache_dir).absorb(source)
-        traces = Path(source) / "traces"
-        if traces.is_dir():
-            dst_dir = Path(args.cache_dir) / "traces"
-            dst_dir.mkdir(parents=True, exist_ok=True)
-            for src in sorted(traces.glob("*.trace.pkl")):
-                dst = dst_dir / src.name
-                if not dst.exists():
-                    # atomic: a worker loading this pickle mid-copy
-                    # must never see a torn file
-                    atomic_write_bytes(dst, src.read_bytes())
-    if args.from_cache:
+    if sources:
+        copied = sum(runner.absorb(source) for source in sources)
         print(f"# absorbed {copied} cached results from "
-              f"{len(args.from_cache)} shard caches")
-    return 0
+              f"{len(sources)} caches")
+    return _execute(args, runner, entry.name, specs)
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
@@ -574,25 +420,14 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--shard", default=None, metavar="i/N",
         help="run only this machine's deterministic 1/N slice of the "
-             "grid (partitioned by spec hash); merge-shards reassembles "
-             "the full sweep manifest",
+             "grid (partitioned by spec hash) into its cache; writes "
+             "no manifest",
     )
-
-    merge = sub.add_parser(
-        "merge-shards",
-        help="union shard manifests (and caches) into one sweep manifest",
+    sweep.add_argument(
+        "--from-cache", action="append", metavar="DIR",
+        help="first union this cache directory's results and traces "
+             "(e.g. a shard's) into --cache-dir; repeatable",
     )
-    merge.add_argument("label", help="sweep label the shards were run under")
-    merge.add_argument("--shards", nargs="+", default=None,
-                       metavar="PATH",
-                       help="explicit shard-manifest paths (default: all "
-                            "<label>.shard*of*.json in the sweeps dir)")
-    merge.add_argument("--from-cache", action="append", metavar="DIR",
-                       help="also union this shard's result cache (and "
-                            "trace cache) into --cache-dir; repeatable")
-    merge.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
-                       help=f"target cache directory "
-                            f"(default {DEFAULT_CACHE_DIR})")
 
     compare = sub.add_parser(
         "compare", help="diff two cached sweeps into a report"
@@ -654,7 +489,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "show": cmd_show,
         "run": cmd_run,
         "sweep": cmd_sweep,
-        "merge-shards": cmd_merge_shards,
         "compare": cmd_compare,
         "gap": cmd_gap,
     }[args.command]

@@ -474,6 +474,71 @@ def atomic_write_text(path: os.PathLike | str, text: str) -> None:
     atomic_write_bytes(path, text.encode())
 
 
+class ReadGuard:
+    """The read-error discipline of every durable cache tier.
+
+    A *missing file* is a legitimate miss.  An *environmental* read
+    error (permissions, I/O failure, a directory where a file should
+    be) is not: silently recomputing would mask a broken cache
+    forever.  Those bump ``errors``, log the path once, and the
+    **second consecutive** failure of the same path re-raises — one
+    transient blip recovers, a persistent fault surfaces.  Shared by
+    :class:`JsonCache` and the pickled trace cache of
+    :mod:`~repro.scenarios.workloads`.
+    """
+
+    def __init__(self) -> None:
+        self.errors = 0
+        self._failures: Dict[str, int] = {}
+        self._logged: set = set()
+
+    def read(self, path: Path, reader: Any) -> Any:
+        """``reader(path)``, or None for a missing file or a tolerated
+        environmental error (see the class doc)."""
+        key = str(path)
+        try:
+            value = reader(path)
+        except FileNotFoundError:
+            value = None
+        except OSError as exc:
+            self.errors += 1
+            failures = self._failures[key] = self._failures.get(key, 0) + 1
+            if key not in self._logged:
+                self._logged.add(key)
+                _LOG.warning(
+                    "cache read failed for %s (%s); treating as a miss",
+                    path, exc,
+                )
+            if failures >= 2:
+                raise
+            return None
+        self._failures.pop(key, None)
+        return value
+
+
+def union_dir(src: os.PathLike | str, dst: os.PathLike | str,
+              pattern: str) -> int:
+    """Copy every ``pattern`` file of ``src`` that ``dst`` lacks.
+
+    The one cache-union primitive: entries of every content-addressed
+    store are keyed by a content hash, so identical names mean
+    identical content — existing files are kept, new ones are copied
+    atomically (a reader loading an entry mid-copy never sees a torn
+    file).  A missing ``src`` is a no-op.  Returns the files copied.
+    """
+    src, dst = Path(src), Path(dst)
+    if not src.is_dir():
+        return 0
+    dst.mkdir(parents=True, exist_ok=True)
+    copied = 0
+    for path in sorted(src.glob(pattern)):
+        target = dst / path.name
+        if not target.exists():
+            atomic_write_bytes(target, path.read_bytes())
+            copied += 1
+    return copied
+
+
 class JsonCache:
     """Content-addressed on-disk JSON store: one ``<hash>.json`` per
     entry.
@@ -488,14 +553,10 @@ class JsonCache:
     filesystem touch afterwards, which is what lets the serve tier
     *pin* its hot path as syscall-free instead of asserting it.
 
-    Read-error semantics: a *missing file* and a *torn entry*
+    Read-error semantics: a missing file and a *torn entry*
     (interrupted ``os.replace``, half-written JSON) are legitimate
-    misses — recompute and move on.  An *environmental* read error
-    (permissions, I/O failure, a directory where a file should be) is
-    not: silently recomputing would mask a broken cache forever.
-    Those bump ``cache_read_errors``, log the path once, and the
-    **second consecutive** failure of the same entry re-raises — one
-    transient blip recovers, a persistent fault surfaces.
+    misses; environmental read errors follow :class:`ReadGuard` and
+    are counted in ``cache_read_errors``.
     """
 
     def __init__(self, root: os.PathLike | str) -> None:
@@ -503,43 +564,25 @@ class JsonCache:
         self.root.mkdir(parents=True, exist_ok=True)
         self.disk_reads = 0
         self.disk_writes = 0
-        self.cache_read_errors = 0
-        self._read_failures: Dict[str, int] = {}
-        self._logged_paths: set = set()
+        self._reads = ReadGuard()
+
+    @property
+    def cache_read_errors(self) -> int:
+        """Environmental read errors seen so far (see the class doc)."""
+        return self._reads.errors
 
     def _path(self, key: str) -> Path:
         return self.root / f"{key}.json"
 
     def load(self, key: str) -> Optional[Dict[str, Any]]:
         """The stored payload under ``key``, or None (torn entry,
-        non-dict payload, and missing file all read as a miss).
-
-        Environmental read errors — anything besides a missing file —
-        are counted, logged once per path, tolerated once, and
-        re-raised on the second consecutive failure of the same entry
-        (see the class doc).
+        non-dict payload, and missing file all read as a miss; a
+        persistent environmental error re-raises — see the class doc).
         """
         self.disk_reads += 1
-        path = self._path(key)
-        try:
-            text = path.read_text()
-        except FileNotFoundError:
-            self._read_failures.pop(key, None)
+        text = self._reads.read(self._path(key), Path.read_text)
+        if text is None:
             return None
-        except OSError as exc:
-            self.cache_read_errors += 1
-            failures = self._read_failures.get(key, 0) + 1
-            self._read_failures[key] = failures
-            if str(path) not in self._logged_paths:
-                self._logged_paths.add(str(path))
-                _LOG.warning(
-                    "cache read failed for %s (%s); treating as a miss",
-                    path, exc,
-                )
-            if failures >= 2:
-                raise
-            return None
-        self._read_failures.pop(key, None)
         try:
             payload = json.loads(text)
         except ValueError:
@@ -556,23 +599,9 @@ class JsonCache:
         )
 
     def absorb(self, other_root: os.PathLike | str) -> int:
-        """Union another cache directory into this one (file copy).
-
-        Entries are content-addressed, so identical hashes mean
-        identical content — existing files are kept, new ones are
-        copied atomically.  Returns the number of entries copied.
-        """
-        copied = 0
-        other = Path(other_root)
-        if not other.is_dir():
-            return 0
-        for src in sorted(other.glob("*.json")):
-            dst = self.root / src.name
-            if dst.exists():
-                continue
-            atomic_write_text(dst, src.read_text())
-            copied += 1
-        return copied
+        """Union another cache directory into this one (file copy, see
+        :func:`union_dir`).  Returns the number of entries copied."""
+        return union_dir(other_root, self.root, "*.json")
 
     def __len__(self) -> int:
         return sum(1 for _ in self.root.glob("*.json"))
@@ -584,7 +613,7 @@ class ResultCache(JsonCache):
     Each entry stores the full spec alongside the result; a hash
     collision or a stale schema is treated as a miss.  Because entries
     are content-addressed, merging two caches is a plain file copy
-    (see ``merge-shards``).  Atomicity, miss semantics and the I/O
+    (``sweep --from-cache``).  Atomicity, miss semantics and the I/O
     counters come from :class:`JsonCache`.
 
     ``on_put`` is the consolidated-store index hook: when set (fleet
@@ -617,24 +646,37 @@ class ResultCache(JsonCache):
             self.on_put(spec, result)
 
 
+def cached_result(
+    spec: ScenarioSpec, cache: Optional[ResultCache] = None
+) -> Optional[ScenarioResult]:
+    """The cache-first lookup: memo → disk, or None on a miss.
+
+    A disk hit is installed in the memo, so the next lookup is free.
+    """
+    key = spec.spec_hash()
+    result = _MEMO.get(key)
+    if result is None and cache is not None:
+        result = cache.get(spec)
+        if result is not None:
+            _MEMO[key] = result
+    return result
+
+
+def _compute(spec: ScenarioSpec,
+             cache: Optional[ResultCache]) -> ScenarioResult:
+    """Run ``spec``, then memoize and persist the result."""
+    result = run_scenario(spec)
+    _MEMO[spec.spec_hash()] = result
+    if cache is not None:
+        cache.put(spec, result)
+    return result
+
+
 def run_cached(
     spec: ScenarioSpec, cache: Optional[ResultCache] = None
 ) -> ScenarioResult:
     """Memoized scenario execution: memo → disk cache → compute."""
-    key = spec.spec_hash()
-    result = _MEMO.get(key)
-    if result is not None:
-        return result
-    if cache is not None:
-        result = cache.get(spec)
-        if result is not None:
-            _MEMO[key] = result
-            return result
-    result = run_scenario(spec)
-    _MEMO[key] = result
-    if cache is not None:
-        cache.put(spec, result)
-    return result
+    return cached_result(spec, cache) or _compute(spec, cache)
 
 
 def memo_get(spec_hash: str) -> Optional["ScenarioResult"]:
@@ -712,8 +754,7 @@ def shard_indices(
     Partitioning is by spec hash — a pure function of each point, so
     every machine derives the same split from the same grid without
     coordination, and relabelling a sweep never moves points between
-    shards.  This is the single owner of the partition predicate; the
-    CLI and :func:`shard_specs` both derive from it.
+    shards.  This is the single owner of the partition predicate.
     """
     if count < 1:
         raise ValueError(f"shard count must be >= 1, got {count}")
@@ -723,14 +764,6 @@ def shard_indices(
         )
     return [i for i, s in enumerate(specs)
             if int(s.spec_hash(), 16) % count == index]
-
-
-def shard_specs(
-    specs: Sequence[ScenarioSpec], index: int, count: int
-) -> List[ScenarioSpec]:
-    """The shard ``index`` (0-based) of ``count`` for a spec list
-    (input order preserved within the shard; see :func:`shard_indices`)."""
-    return [specs[i] for i in shard_indices(specs, index, count)]
 
 
 class SweepRunner:
@@ -783,23 +816,21 @@ class SweepRunner:
         results: List[Optional[ScenarioResult]] = [None] * len(specs)
         miss_index: Dict[str, List[int]] = {}
         for i, spec in enumerate(specs):
-            key = spec.spec_hash()
-            cached = _MEMO.get(key)
-            if cached is None and self.cache is not None:
-                cached = self.cache.get(spec)
-                if cached is not None:
-                    _MEMO[key] = cached
+            cached = cached_result(spec, self.cache)
             if cached is not None:
                 results[i] = cached
                 self.hits += 1
             else:
-                miss_index.setdefault(key, []).append(i)
+                miss_index.setdefault(spec.spec_hash(), []).append(i)
         misses = [specs[slots[0]] for slots in miss_index.values()]
         self.misses += len(misses)
         workers = self._effective_workers(len(misses))
-        pooled = parallel and workers > 1
-        if pooled:
+        if parallel and workers > 1:
             computed = self._run_pool(misses, workers, on_result)
+            for spec, result in zip(misses, computed):
+                # pool workers already persisted their own results
+                # (run_cached in _pool_run); the parent only memoizes
+                _MEMO[spec.spec_hash()] = result
         else:
             from . import workloads
 
@@ -807,19 +838,14 @@ class SweepRunner:
             workloads.set_trace_cache_dir(self.trace_cache_dir)
             computed = []
             for spec in misses:
-                result = run_scenario(spec)
+                # persisted per point, before the manifest hook: a
+                # killed serial sweep resumes like a pooled one
+                result = _compute(spec, self.cache)
                 computed.append(result)
                 if on_result is not None:
                     on_result(spec, result)
         for spec, result in zip(misses, computed):
-            key = spec.spec_hash()
-            _MEMO[key] = result
-            if self.cache is not None and not pooled:
-                # pool workers already persisted their own results
-                # (run_cached in _pool_run) — re-writing identical
-                # entries here would double the sweep's cache I/O
-                self.cache.put(spec, result)
-            for i in miss_index[key]:
+            for i in miss_index[spec.spec_hash()]:
                 results[i] = result
         return [r for r in results if r is not None]
 
@@ -832,6 +858,15 @@ class SweepRunner:
         """Expand ``grid`` over ``base`` and run every point."""
         return self.run(expand_grid(base, grid), parallel=parallel)
 
+    def absorb(self, source: os.PathLike | str) -> int:
+        """Union another cache directory — results and traces — into
+        this runner's cache (needs a ``cache_dir``; see
+        :func:`union_dir`); the points it holds are then served as
+        cache hits.  Returns the results copied."""
+        union_dir(Path(source) / "traces", self.trace_cache_dir,
+                  "*.trace.pkl")
+        return self.cache.absorb(source)
+
     # -- internals ---------------------------------------------------------
     def _effective_workers(self, n_misses: int) -> int:
         if n_misses <= 1:
@@ -842,25 +877,17 @@ class SweepRunner:
     def _prime_templates(self, misses: Sequence[ScenarioSpec]) -> None:
         """Pay per-sweep one-time costs once, in the parent.
 
-        Trace generation (the dPerf calibration) lands in the
-        persistent trace cache, so workers load a pickle instead of
-        re-interpreting mini-C; platforms are built so fork-started
-        workers inherit them copy-on-write.  Both are pure derivations
-        of the spec, so priming cannot change any result.
+        Traces land in the persistent trace cache (see
+        :func:`~repro.scenarios.workloads.prime_traces`); platforms are
+        built so fork-started workers inherit them copy-on-write.  Both
+        are pure derivations of the spec, so priming cannot change any
+        result.
         """
         from . import platforms, workloads
 
-        workloads.set_trace_cache_dir(self.trace_cache_dir)
-        seen = set()
         for spec in misses:
             platforms.build_platform(spec.platform)
-            if spec.kind not in ("reference", "predict"):
-                continue
-            w = spec.workload
-            recipe = (w.app, spec.n_peers, w.level, w.n, w.nit)
-            if recipe not in seen:
-                seen.add(recipe)
-                workloads.traces(*recipe)
+        workloads.prime_traces(misses, self.trace_cache_dir)
 
     def _run_pool(
         self, misses: Sequence[ScenarioSpec], workers: int,

@@ -27,7 +27,8 @@ from ..dperf import DPerfPredictor, ScalePlan
 from ..p2pdc import WorkloadSpec
 from ..p2psap import Scheme
 from ..platforms.cluster import DEFAULT_NODE_SPEED
-from .spec import WorkloadPlan
+from .runner import ReadGuard, atomic_write_bytes
+from .spec import ScenarioSpec, WorkloadPlan
 
 #: Calibration instance size dPerf actually interprets.
 CAL_N = 32
@@ -149,21 +150,27 @@ def _trace_key(app: str, nprocs: int, level: str, n: int, nit: int) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:24]
 
 
+#: The trace cache's read-error discipline — ``JsonCache``'s, shared:
+#: a missing file is a miss, a persistent environmental error surfaces.
+_TRACE_READS = ReadGuard()
+
+
 def _trace_cache_load(key: str):
     if _TRACE_CACHE_DIR is None:
         return None
+    blob = _TRACE_READS.read(_TRACE_CACHE_DIR / f"{key}.trace.pkl",
+                             Path.read_bytes)
+    if blob is None:
+        return None
     try:
-        with open(_TRACE_CACHE_DIR / f"{key}.trace.pkl", "rb") as fh:
-            return pickle.load(fh)
-    except (OSError, pickle.PickleError, EOFError, AttributeError):
-        return None  # miss or torn/stale entry: recompute below
+        return pickle.loads(blob)
+    except (pickle.PickleError, EOFError, AttributeError, ImportError):
+        return None  # torn or stale entry: recompute below
 
 
 def _trace_cache_store(key: str, value) -> None:
     if _TRACE_CACHE_DIR is None:
         return
-    from .runner import atomic_write_bytes
-
     try:
         _TRACE_CACHE_DIR.mkdir(parents=True, exist_ok=True)
         atomic_write_bytes(
@@ -193,6 +200,21 @@ def traces(app: str, nprocs: int, level: str, n: int, nit: int):
     )
     _trace_cache_store(key, out)
     return out
+
+
+def prime_traces(specs: Sequence[ScenarioSpec],
+                 trace_cache_dir: Optional[os.PathLike | str]) -> None:
+    """Generate every distinct trace recipe of ``specs`` once, into the
+    persistent trace cache at ``trace_cache_dir``, so worker processes
+    load pickles instead of re-running the dPerf calibration."""
+    set_trace_cache_dir(trace_cache_dir)
+    recipes = dict.fromkeys(
+        (s.workload.app, s.n_peers, s.workload.level, s.workload.n,
+         s.workload.nit)
+        for s in specs if s.kind in ("reference", "predict")
+    )
+    for recipe in recipes:
+        traces(*recipe)
 
 
 def iteration_seconds(

@@ -1,10 +1,12 @@
-"""Sharded sweeps: deterministic partitioning, byte-identical merges.
+"""Sharded sweeps: a deterministic partition, reassembled by re-running.
 
 The contract of docs/sharding.md: every machine derives the same
 shard split from the grid alone (partitioning is by spec hash — no
-coordination), a killed shard resumes from its cache, and
-``merge-shards`` reassembles a manifest byte-identical to the
-unsharded sweep — or refuses, loudly, when the shards disagree.
+coordination), a shard writes only cache entries (no manifest), a
+killed shard resumes from its cache, and re-running the unsharded
+sweep with ``--from-cache`` per shard cache serves every point from
+the union and writes a manifest byte-identical to the unsharded
+serial sweep's.
 """
 
 import json
@@ -12,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.scenarios import SCENARIOS, expand_grid, shard_specs
+from repro.scenarios import SCENARIOS, expand_grid, shard_indices
 from repro.scenarios.cli import main
 from repro.scenarios.runner import clear_memo
 
@@ -38,7 +40,11 @@ def _manifest(cache: Path, name: str = "g.json") -> Path:
     return cache / "sweeps" / name
 
 
-class TestShardSpecs:
+def _from_caches(*caches: Path) -> list:
+    return [arg for c in caches for arg in ("--from-cache", str(c))]
+
+
+class TestShardIndices:
     def _specs(self):
         return expand_grid(SCENARIOS["large-overlay-512"].base, DEPLOY_GRID)
 
@@ -46,9 +52,8 @@ class TestShardSpecs:
         specs = self._specs()
         seen = []
         for i in range(3):
-            seen.extend(s.spec_hash() for s in shard_specs(specs, i, 3))
-        assert sorted(seen) == sorted(s.spec_hash() for s in specs)
-        assert len(seen) == len(specs)
+            seen.extend(shard_indices(specs, i, 3))
+        assert sorted(seen) == list(range(len(specs)))
 
     def test_partition_is_stable_under_relabelling(self):
         # the split is a pure function of each point, not of the list
@@ -56,114 +61,116 @@ class TestShardSpecs:
         renamed = [s.with_override("name", f"other-{i}")
                    for i, s in enumerate(specs)]
         for i in range(3):
-            assert ([s.spec_hash() for s in shard_specs(specs, i, 3)]
-                    == [s.spec_hash() for s in shard_specs(renamed, i, 3)])
+            assert shard_indices(specs, i, 3) == shard_indices(renamed, i, 3)
 
     def test_single_shard_is_identity(self):
         specs = self._specs()
-        assert shard_specs(specs, 0, 1) == specs
+        assert shard_indices(specs, 0, 1) == list(range(len(specs)))
 
     def test_bad_geometry_rejected(self):
         specs = self._specs()
         with pytest.raises(ValueError):
-            shard_specs(specs, 3, 3)
+            shard_indices(specs, 3, 3)
         with pytest.raises(ValueError):
-            shard_specs(specs, -1, 3)
+            shard_indices(specs, -1, 3)
         with pytest.raises(ValueError):
-            shard_specs(specs, 0, 0)
+            shard_indices(specs, 0, 0)
 
 
 class TestShardedCli:
-    def test_three_shard_union_is_byte_identical(self, tmp_path):
+    def test_union_rerun_is_byte_identical(self, tmp_path, capsys):
+        """Three shards, each in its own cache dir; one sweep with
+        ``--from-cache`` per shard into a fresh dir executes nothing
+        and writes the unsharded serial sweep's manifest, byte for
+        byte."""
         clear_memo()
         plain = tmp_path / "plain"
         assert _sweep(plain) == 0
-        clear_memo()
-        sharded = tmp_path / "sharded"
-        for i in range(3):
-            assert _sweep(sharded, "--shard", f"{i}/3") == 0
-        assert main(["merge-shards", "g", "--cache-dir", str(sharded)]) == 0
-        assert (_manifest(sharded).read_bytes()
+        caches = [tmp_path / f"m{i}" for i in range(3)]
+        for i, cache in enumerate(caches):
+            clear_memo()
+            assert _sweep(cache, "--shard", f"{i}/3") == 0
+        clear_memo()  # the re-run must be served from disk, not memo
+        capsys.readouterr()
+        merged = tmp_path / "merged"
+        assert _sweep(merged, *_from_caches(*caches)) == 0
+        out = capsys.readouterr().out
+        assert "# absorbed 12 cached results from 3 caches" in out
+        assert "12 points: 12 from cache, 0 executed" in out
+        assert (_manifest(merged).read_bytes()
                 == _manifest(plain).read_bytes())
 
-    def test_shard_manifest_records_geometry(self, tmp_path):
+    def test_shard_writes_no_manifest(self, tmp_path, capsys):
         clear_memo()
         cache = tmp_path / "c"
         assert _sweep(cache, "--shard", "1/3") == 0
-        payload = json.loads(_manifest(cache, "g.shard1of3.json").read_text())
-        assert payload["shard"]["index"] == 1
-        assert payload["shard"]["count"] == 3
-        assert payload["shard"]["n_points"] == 12
-        assert all("index" in p for p in payload["points"])
-        assert "partial" not in payload
+        out = capsys.readouterr().out
+        assert "# shard 1/3:" in out and "of 12 points" in out
+        assert not (cache / "sweeps").exists()
+        assert "sweep manifest" not in out
+        # its output is the cache entries of its slice
+        assert len(list(cache.glob("*.json"))) == len(shard_indices(
+            expand_grid(SCENARIOS["large-overlay-512"].base, DEPLOY_GRID),
+            1, 3))
 
-    def test_merge_missing_shard_is_clean_error(self, tmp_path, capsys):
-        clear_memo()
-        cache = tmp_path / "c"
-        assert _sweep(cache, "--shard", "0/3") == 0
-        assert main(["merge-shards", "g", "--cache-dir", str(cache)]) == 2
-        err = capsys.readouterr().err
-        assert "incomplete" in err
-
-    def test_merge_rejects_conflicting_spec_hashes(self, tmp_path, capsys):
-        """Two shards claiming the same point name with different spec
-        hashes were run from different grids or schema versions; the
-        merge must refuse rather than silently mix them."""
-        clear_memo()
-        cache = tmp_path / "c"
-        for i in range(2):
-            assert _sweep(cache, "--shard", f"{i}/2") == 0
-        path = _manifest(cache, "g.shard1of2.json")
-        payload = json.loads(path.read_text())
-        victim = payload["points"][0]
-        other = json.loads(
-            _manifest(cache, "g.shard0of2.json").read_text())["points"][0]
-        victim["name"] = other["name"]  # same label, different spec hash
-        path.write_text(json.dumps(payload, indent=1, sort_keys=True))
-        assert main(["merge-shards", "g", "--cache-dir", str(cache)]) == 2
-        assert "conflicting spec hashes" in capsys.readouterr().err
-
-    def test_merge_rejects_partial_manifest(self, tmp_path, capsys):
-        clear_memo()
-        cache = tmp_path / "c"
-        for i in range(2):
-            assert _sweep(cache, "--shard", f"{i}/2") == 0
-        path = _manifest(cache, "g.shard0of2.json")
-        payload = json.loads(path.read_text())
-        payload["partial"] = True
-        path.write_text(json.dumps(payload, indent=1, sort_keys=True))
-        assert main(["merge-shards", "g", "--cache-dir", str(cache)]) == 2
-        assert "partial" in capsys.readouterr().err
-
-    def test_merge_rejects_mixed_geometry(self, tmp_path, capsys):
-        clear_memo()
-        cache = tmp_path / "c"
-        assert _sweep(cache, "--shard", "0/2") == 0
-        assert _sweep(cache, "--shard", "1/3") == 0
-        assert main(["merge-shards", "g", "--cache-dir", str(cache)]) == 2
-        assert "geometry" in capsys.readouterr().err
-
-    def test_merge_absorbs_shard_caches(self, tmp_path):
-        """Cross-machine flow: each shard ran with its own cache dir;
-        --from-cache unions the content-addressed results."""
+    def test_missing_shard_is_computed_by_the_rerun(self, tmp_path,
+                                                    capsys):
+        """A shard that never ran is no refusal: the re-run computes
+        its points and reports them as executed (the resume contract
+        of a killed sweep)."""
         clear_memo()
         caches = [tmp_path / f"m{i}" for i in range(2)]
         for i, cache in enumerate(caches):
-            assert _sweep(cache, "--shard", f"{i}/2") == 0
-        target = tmp_path / "merged"
-        target.mkdir()
-        shards = [str(_manifest(c, f"g.shard{i}of2.json"))
-                  for i, c in enumerate(caches)]
-        assert main(["merge-shards", "g", "--cache-dir", str(target),
-                     "--shards"] + shards
-                    + ["--from-cache", str(caches[0]),
-                       "--from-cache", str(caches[1])]) == 0
+            assert _sweep(cache, "--shard", f"{i}/3") == 0
+        missing = len(shard_indices(
+            expand_grid(SCENARIOS["large-overlay-512"].base, DEPLOY_GRID),
+            2, 3))
         clear_memo()
-        # every point of the full grid is now served from the union
-        rerun = tmp_path / "merged"
-        assert _sweep(rerun) == 0
-        manifest = json.loads(_manifest(rerun).read_text())
-        assert len(manifest["points"]) == 12
+        capsys.readouterr()
+        merged = tmp_path / "merged"
+        assert _sweep(merged, *_from_caches(*caches)) == 0
+        out = capsys.readouterr().out
+        assert (f"12 points: {12 - missing} from cache, "
+                f"{missing} executed") in out
+        assert len(json.loads(_manifest(merged).read_text())["points"]) == 12
+
+    def test_killed_shard_resumes_from_its_cache(self, tmp_path, capsys,
+                                                 monkeypatch):
+        """Resume comes from the cache: every serially computed point
+        is persisted as it lands, so a shard killed mid-flight reruns
+        only the remainder."""
+        from repro.scenarios import runner as runner_mod
+
+        clear_memo()
+        cache = tmp_path / "c"
+        original = runner_mod.run_scenario
+        calls = []
+
+        def dies_on_third(spec):
+            if len(calls) == 2:
+                raise KeyboardInterrupt  # the shard is killed
+            calls.append(spec)
+            return original(spec)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(runner_mod, "run_scenario", dies_on_third)
+            with pytest.raises(KeyboardInterrupt):
+                _sweep(cache, "--shard", "0/2")
+        assert len(list(cache.glob("*.json"))) == 2
+        clear_memo()
+        capsys.readouterr()
+        assert _sweep(cache, "--shard", "0/2") == 0
+        assert "2 from cache" in capsys.readouterr().out
+
+    def test_from_cache_with_no_cache_is_usage_error(self, tmp_path, capsys):
+        assert main(["sweep", "large-overlay-512", "--no-cache",
+                     "--from-cache", str(tmp_path)] + DEPLOY_ARGS) == 2
+        assert "--from-cache" in capsys.readouterr().err
+
+    def test_from_cache_missing_dir_is_usage_error(self, tmp_path, capsys):
+        assert _sweep(tmp_path / "c", "--from-cache",
+                      str(tmp_path / "nope")) == 2
+        assert "no such directory" in capsys.readouterr().err
 
     def test_bad_shard_argument_is_usage_error(self, tmp_path, capsys):
         cache = tmp_path / "c"
@@ -186,9 +193,7 @@ class TestShardedCli:
 
     def test_incremental_manifest_marks_progress(self, tmp_path):
         """During a sweep the manifest on disk is a partial record of
-        what finished; the final write clears the marker.  (A killed
-        shard therefore leaves both the partial manifest and the
-        worker-written cache entries behind — the resume path.)"""
+        what finished; the final write clears the marker."""
         clear_memo()
         cache = tmp_path / "c"
         stages = []

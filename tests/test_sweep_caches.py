@@ -11,8 +11,13 @@ import os
 
 import pytest
 
-from repro.scenarios import ResultCache, ScenarioSpec, run_scenario
-from repro.scenarios.runner import atomic_write_text
+from repro.scenarios import (
+    ResultCache,
+    ScenarioSpec,
+    SweepRunner,
+    run_scenario,
+)
+from repro.scenarios.runner import ReadGuard, atomic_write_text
 from repro.scenarios.spec import PlatformPlan, WorkloadPlan
 from repro.scenarios import workloads
 
@@ -78,6 +83,21 @@ class TestAbsorb:
     def test_absorb_missing_dir_is_noop(self, tmp_path):
         assert ResultCache(tmp_path / "a").absorb(tmp_path / "nope") == 0
 
+    def test_runner_absorbs_results_and_traces(self, tmp_path):
+        """``SweepRunner.absorb`` (``sweep --from-cache``) unions both
+        content-addressed stores of a cache dir; existing entries win."""
+        source = ResultCache(tmp_path / "src")
+        spec = _spec(seed=3)
+        source.put(spec, run_scenario(spec))
+        (source.root / "traces").mkdir()
+        (source.root / "traces" / "k.trace.pkl").write_bytes(b"blob")
+        runner = SweepRunner(cache_dir=tmp_path / "dst")
+        assert runner.absorb(source.root) == 1
+        assert runner.cache.get(spec) is not None
+        assert (tmp_path / "dst" / "traces" / "k.trace.pkl").read_bytes() \
+            == b"blob"
+        assert runner.absorb(source.root) == 0
+
 
 class TestTraceCache:
     @pytest.fixture(autouse=True)
@@ -108,6 +128,40 @@ class TestTraceCache:
         (tmp_path / f"{key}.trace.pkl").write_bytes(b"torn pickle")
         workloads.clear_caches()
         assert workloads.traces("heat", 2, "O1", 64, 20)  # recomputed
+
+    def test_env_read_error_counts_then_reraises(self, tmp_path,
+                                                 monkeypatch, caplog):
+        """A directory where the pickle should be is an environmental
+        error, not a miss: ``JsonCache``'s policy applies — counted,
+        logged once, tolerated once, re-raised on the second
+        consecutive failure.  (Permission tricks don't work for root,
+        which CI runs as.)"""
+        guard = ReadGuard()
+        monkeypatch.setattr(workloads, "_TRACE_READS", guard)
+        workloads.set_trace_cache_dir(tmp_path)
+        key = workloads._trace_key("heat", 2, "O1", 64, 20)
+        (tmp_path / f"{key}.trace.pkl").mkdir()
+        with caplog.at_level("WARNING", logger="repro.scenarios.cache"):
+            assert workloads._trace_cache_load(key) is None
+            assert guard.errors == 1
+            with pytest.raises(IsADirectoryError):
+                workloads._trace_cache_load(key)
+        assert guard.errors == 2
+        assert len(caplog.records) == 1
+        assert "treating as a miss" in caplog.records[0].getMessage()
+
+    def test_missing_and_torn_trace_entries_are_silent_misses(
+            self, tmp_path, monkeypatch):
+        guard = ReadGuard()
+        monkeypatch.setattr(workloads, "_TRACE_READS", guard)
+        workloads.set_trace_cache_dir(tmp_path)
+        key = workloads._trace_key("heat", 2, "O1", 64, 20)
+        for _ in range(2):
+            assert workloads._trace_cache_load(key) is None  # missing
+        (tmp_path / f"{key}.trace.pkl").write_bytes(b"torn pickle")
+        for _ in range(2):
+            assert workloads._trace_cache_load(key) is None  # torn
+        assert guard.errors == 0
 
     def test_disabled_cache_writes_nothing(self, tmp_path):
         workloads.set_trace_cache_dir(None)
