@@ -4,11 +4,12 @@
   rename claims, heartbeats, retry/backoff, poison quarantine.
 - :mod:`repro.fleet.worker` — one steal-compute-persist loop.
 - :mod:`repro.fleet.dispatcher` — spawns/supervises workers, requeues
-  dead workers' points, writes the byte-identical sweep manifest.
+  dead workers' points, writes the byte-identical sweep manifest and
+  is the fleet's only writer of the store.
 - :mod:`repro.fleet.store` — append-only cross-sweep result index
-  (``<cache>/store/index.jsonl``) with a persistent offset sidecar
-  and ``store compact``, behind ``fleet compare --html``,
-  ``fleet backfill`` and the serve daemon's store tier.
+  (``<cache>/store/index.jsonl``) with a persistent offset sidecar,
+  behind ``fleet compare --html``, ``fleet backfill`` and the serve
+  daemon's store tier.
 - :mod:`repro.fleet.telemetry` — per-worker throughput rows and
   straggler flagging behind ``fleet stats``.
 """

@@ -9,7 +9,6 @@
     python -m repro.fleet stats churn-b
     python -m repro.fleet backfill
     python -m repro.fleet store
-    python -m repro.fleet store compact
     python -m repro.fleet compare churn-a churn-b --html report.html
 
 ``run`` is the dispatcher: it expands the grid exactly like
@@ -21,8 +20,8 @@ mount.  The resulting manifest is byte-identical to an unsharded
 serial sweep of the same grid.
 
 ``backfill`` absorbs pre-store sweep manifests into the consolidated
-``<cache>/store/index.jsonl``; ``store`` lists what the index holds
-and ``store compact`` rewrites it newest-per-key; ``stats`` prints a
+``<cache>/store/index.jsonl`` (the other writer is ``run``'s
+finalize); ``store`` lists what the index holds; ``stats`` prints a
 live per-worker throughput view of a fleet directory with stragglers
 flagged; ``compare`` diffs two labels **from the store** (falling
 back to sweep manifests for labels never indexed) and can render a
@@ -32,14 +31,17 @@ static HTML regression report with ``--html``.
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import sys
 from pathlib import Path
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Sequence
 
 from ..params import parse_grid_sets
-from ..scenarios.cli import DEFAULT_CACHE_DIR, _load_manifest, _UsageError
+from ..scenarios.cli import (
+    DEFAULT_CACHE_DIR,
+    _load_manifest,
+    _parse_percentiles,
+    _UsageError,
+)
 from ..scenarios.manifest import sweeps_dir
 from ..scenarios.registry import get_scenario
 from ..scenarios.runner import expand_grid
@@ -83,11 +85,6 @@ def _print_outcome(outcome: FleetOutcome) -> None:
         if stat.get("straggler"):
             reasons = "; ".join(stat.get("reasons") or ())
             print(f"# STRAGGLER {stat['worker']}: {reasons}")
-    if outcome.compaction is not None:
-        c = outcome.compaction
-        print(f"# store compacted at finalize: {c['records_before']} -> "
-              f"{c['records_after']} records ({c['dropped']} dropped, "
-              f"generation {c['generation']})")
     if outcome.manifest_path is not None:
         print(f"# sweep manifest: {outcome.manifest_path}")
 
@@ -112,7 +109,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             max_retries=args.max_retries,
             backoff_base=args.backoff_base,
             wall_timeout=args.wall_timeout,
-            compact_threshold=args.compact_threshold,
         )
         outcome = dispatcher.run()
     except FleetError as exc:
@@ -151,14 +147,6 @@ def cmd_backfill(args: argparse.Namespace) -> int:
 
 def cmd_store(args: argparse.Namespace) -> int:
     store = ResultStore(args.cache_dir)
-    if args.action == "compact":
-        stats = store.compact()
-        print(f"# store compacted: {stats['records_before']} -> "
-              f"{stats['records_after']} records "
-              f"({stats['dropped']} superseded dropped, "
-              f"{stats['bytes_after']} bytes, "
-              f"generation {stats['generation']})")
-        return 0
     labels = store.labels()
     if not labels:
         print(f"# store is empty ({store.index_path}); run a fleet or "
@@ -212,21 +200,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     store = ResultStore(args.cache_dir)
     a = _sweep_data(args.a, store, args.cache_dir)
     b = _sweep_data(args.b, store, args.cache_dir)
-    percentiles: Tuple[float, ...] = ()
-    if args.percentiles:
-        try:
-            percentiles = tuple(
-                float(p) for p in args.percentiles.split(",") if p.strip()
-            )
-        except ValueError:
-            raise _UsageError(
-                f"--percentiles expects comma-separated numbers, "
-                f"got {args.percentiles!r}"
-            ) from None
     try:
-        comparison = compare_sweeps(a, b, metric=args.metric,
-                                    over=tuple(args.over or ()),
-                                    percentiles=percentiles)
+        comparison = compare_sweeps(
+            a, b, metric=args.metric, over=tuple(args.over or ()),
+            percentiles=_parse_percentiles(args.percentiles))
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     if args.html:
@@ -285,11 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="exponential requeue backoff base (seconds)")
     run.add_argument("--wall-timeout", type=float, default=None,
                      help="abort the fleet after this many seconds")
-    run.add_argument("--compact-threshold", type=float, default=0.5,
-                     help="compact the consolidated store at finalize "
-                          "once this fraction of its records is "
-                          "superseded history (default 0.5; 1.0 "
-                          "disables auto-compaction)")
     add_cache_dir(run)
 
     worker = sub.add_parser(
@@ -314,13 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_cache_dir(backfill)
 
     store = sub.add_parser(
-        "store", help="list the consolidated store's labels, or "
-                      "compact its index"
+        "store", help="list the consolidated store's labels"
     )
-    store.add_argument("action", nargs="?", default="list",
-                       choices=("list", "compact"),
-                       help="'list' labels (default) or 'compact' the "
-                            "index to the newest record per point")
     add_cache_dir(store)
 
     stats = sub.add_parser(

@@ -15,8 +15,9 @@ filesystem; the fleet needs a shared mount.)
 The output contract is the sweep's: the dispatcher writes a sweep
 manifest through the shared canonical serializer, **byte-identical**
 to the manifest an unsharded serial sweep of the same grid produces
-(pinned by ``tests/test_fleet.py``), and syncs every result into the
-consolidated :class:`~repro.fleet.store.ResultStore`.  If any point
+(pinned by ``tests/test_fleet.py``), and records every result in the
+consolidated :class:`~repro.fleet.store.ResultStore` — the fleet's
+only store writer; workers never open it.  If any point
 was quarantined the manifest is marked ``"partial": true`` — the same
 refuse-to-compare semantics a killed sweep has.
 
@@ -27,7 +28,6 @@ only unresolved points are re-enqueued.
 
 from __future__ import annotations
 
-import json
 import os
 import shutil
 import subprocess
@@ -79,9 +79,6 @@ class FleetOutcome:
     cached: int = 0
     computed: int = 0
     store_records: int = 0
-    #: ``store.compact()`` stats when the finalize-time auto-compaction
-    #: fired (superseded fraction above the threshold), else None.
-    compaction: Optional[Dict[str, int]] = None
     wall: float = 0.0
 
     @property
@@ -116,13 +113,6 @@ class FleetDispatcher:
     wall_timeout:
         Optional overall ceiling (seconds); exceeding it raises
         :class:`FleetError` after stopping the fleet.
-    compact_threshold:
-        Superseded-record fraction above which the consolidated store
-        is compacted at finalize (default 0.5 — compact once more than
-        half the index is shadowed history).  ``1.0`` disables the
-        auto-compaction (the fraction can never exceed 1).  Finalize
-        is the one moment the dispatcher knows no fleet worker is
-        appending, which is compaction's safety precondition.
     """
 
     def __init__(
@@ -139,7 +129,6 @@ class FleetDispatcher:
         heartbeat_interval: float = HEARTBEAT_INTERVAL,
         poll_interval: float = 0.1,
         wall_timeout: Optional[float] = None,
-        compact_threshold: float = 0.5,
         spawn_env: Optional[Dict[str, str]] = None,
     ) -> None:
         if not specs:
@@ -150,10 +139,6 @@ class FleetDispatcher:
             raise FleetError("liveness_timeout must be > 0")
         if max_retries < 1:
             raise FleetError("max_retries must be >= 1")
-        if not 0.0 <= compact_threshold <= 1.0:
-            raise FleetError(
-                f"compact_threshold must be in [0, 1], "
-                f"got {compact_threshold!r}")
         self.specs = list(specs)
         self.label = label
         self.scenario = scenario
@@ -165,7 +150,6 @@ class FleetDispatcher:
         self.heartbeat_interval = heartbeat_interval
         self.poll_interval = poll_interval
         self.wall_timeout = wall_timeout
-        self.compact_threshold = compact_threshold
         self.spawn_env = spawn_env
         self.dirs = FleetDirs(self.cache_dir / "fleet" / label)
         self._procs: Dict[str, subprocess.Popen] = {}
@@ -365,12 +349,8 @@ class FleetDispatcher:
             self._join_workers()
         done = self.dirs.done_records()
         poison = self.dirs.poison_records()
-        # the store is opened *after* the workers finish, so its dedup
-        # set already holds everything their on_put hooks indexed —
-        # the sync below only adds cache hits and resumed points
-        store = ResultStore(self.cache_dir)
-        outcome = self._finalize(store, done, poison, reassignments,
-                                 cached)
+        outcome = self._finalize(ResultStore(self.cache_dir), done,
+                                 poison, reassignments, cached)
         outcome.wall = time.monotonic() - started
         return outcome
 
@@ -408,9 +388,8 @@ class FleetDispatcher:
                            "result": record["result"]})
             worker_points[record["worker"]] = \
                 worker_points.get(record["worker"], 0) + 1
-            # the final store sync: workers indexed what they computed
-            # (the on_put hook); this dedup'd pass picks up cache hits
-            # and resumed points
+            # the fleet's one store write per point, after the workers
+            # exited; dedup'd, so a resumed fleet re-lands nothing
             if store.record_raw({
                 "spec_hash": record["spec_hash"],
                 "name": record["name"], "label": self.label,
@@ -425,14 +404,6 @@ class FleetDispatcher:
         manifest_path = sweep_manifest.sweeps_dir(self.cache_dir) / \
             f"{self.label}.json"
         sweep_manifest.dump_manifest(payload, manifest_path)
-        # auto-compaction: reassignment races and resumed fleets leave
-        # superseded records behind; once they dominate the index,
-        # every streaming read pays for history.  Finalize is safe —
-        # the workers are joined, nobody is appending.
-        compaction = None
-        if self.compact_threshold < 1.0 and \
-                store.superseded_fraction() > self.compact_threshold:
-            compaction = store.compact()
         return FleetOutcome(
             label=self.label, scenario=self.scenario,
             manifest_path=manifest_path, points=points,
@@ -448,5 +419,4 @@ class FleetDispatcher:
             # cache-hit points count as cached, poison as neither)
             computed=max(0, len(points) - cached),
             store_records=store_records,
-            compaction=compaction,
         )

@@ -40,7 +40,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
@@ -257,14 +256,6 @@ class FleetDirs:
     @property
     def stopped(self) -> bool:
         return self.stop_path.exists()
-
-
-@dataclass
-class Requeue:
-    """Outcome of one dead-claim sweep (dispatcher bookkeeping)."""
-
-    requeued: List[int]
-    poisoned: List[int]
 
 
 class ResolvedCounter:

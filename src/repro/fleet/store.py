@@ -16,37 +16,35 @@ asset:
 - ``fleet backfill`` absorbs pre-store sweep manifests, so history
   written before the index existed joins it.
 
-Appends are one ``O_APPEND`` write of one line per record — safe
-under concurrent fleet workers on a local filesystem — and readers
-skip torn trailing lines, so a reader racing a writer sees a valid
-prefix.  Records are deduplicated on ``(label, spec_hash)``:
-re-running a sweep re-lands the same results without bloating the
-index.
+A fleet writes the store from one place only: the dispatcher's
+finalize, after its workers have exited.  Workers persist to the
+result cache and their ``done/`` records, never to the index.  With
+one deduplicating writer per label, a record is never superseded by
+a duplicate of itself.
+
+Appends are one ``O_APPEND`` write of one line per record, so
+concurrent writers (a ``fleet backfill`` racing a finalize) each land
+whole lines on a local filesystem, and readers skip torn trailing
+lines, so a reader racing a writer sees a valid prefix.  Records are
+deduplicated on ``(label, spec_hash)``: re-running a sweep re-lands
+the same results without bloating the index.
 
 **Scale** (millions of records, tens of thousands of points) comes
-from three mechanisms layered on the same append-only file:
+from two mechanisms layered on the same append-only file:
 
 - **Streaming reads.**  No reader materializes the index; every scan
   is a line-buffered pass tracking byte offsets.
 - **The offset sidecar** (``store/index.offsets``): a persistent map
   ``spec_hash → newest byte offset`` plus the per-label key sets,
-  stamped with the index generation and the byte range it *covers*.
-  ``get_result`` becomes one seek + one line read instead of a full
-  scan; ``__len__``/``labels`` read the sidecar's key sets.  The
-  sidecar is derived data: when it is missing, torn, from an older
-  generation, or covers more bytes than the index holds, it is
-  rebuilt from the index; when the index merely grew past it, only
-  the tail is scanned.  A lookup whose seek lands on a record with
-  the wrong hash (a compaction swapped the file mid-flight) rebuilds
-  and retries — the sidecar can be stale, never wrong.
-- **Compaction** (``fleet store compact``): rewrites the index
-  keeping the newest record per ``(label, spec_hash)`` — in
-  first-occurrence key order, so every read result is identical to
-  the uncompacted store's — via an atomic swap, and bumps the
-  **generation stamp** (``store/generation``) so every reader's
-  sidecar invalidates instead of trusting offsets into the new file.
-  Run it while no fleet is appending: a record landed between the
-  final tail merge and the swap would be lost with the old inode.
+  stamped with the byte range it *covers*.  ``get_result`` becomes
+  one seek + one line read instead of a full scan;
+  ``__len__``/``labels`` read the sidecar's key sets.  The sidecar is
+  derived data: when it is missing, torn, or covers more bytes than
+  the index holds, it is rebuilt from the index; when the index
+  merely grew past it, only the tail is scanned.  A lookup whose seek
+  lands on a record with the wrong hash (the sidecar describes a
+  different index file, e.g. one deleted and re-grown) rebuilds and
+  retries — the sidecar can be stale, never wrong.
 """
 
 from __future__ import annotations
@@ -55,7 +53,7 @@ import json
 import os
 import time
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Set
 
 from ..scenarios.runner import ScenarioResult, atomic_write_text
 from ..scenarios.spec import ScenarioSpec
@@ -81,15 +79,12 @@ class ResultStore:
         self.root.mkdir(parents=True, exist_ok=True)
         self.index_path = self.root / "index.jsonl"
         self.offsets_path = self.root / "index.offsets"
-        self.generation_path = self.root / "generation"
         #: spec_hash → byte offset of its newest record (sidecar core).
         self._offsets: Optional[Dict[str, int]] = None
         #: label → set of spec hashes (dedup + accounting).
         self._keys: Dict[str, Set[str]] = {}
         #: Byte length of the complete-line prefix the sidecar covers.
         self._covers = 0
-        #: Index generation the in-memory sidecar was built against.
-        self._generation = 0
         self.appended = 0
         self.skipped = 0
         # sidecar observability (the serve tier surfaces these)
@@ -102,9 +97,7 @@ class ResultStore:
                label: str, scenario: str) -> bool:
         """Append one result record (dedup'd on label × spec hash).
 
-        Returns True when a record was actually appended.  This is the
-        shape :attr:`~repro.scenarios.runner.ResultCache.on_put` hooks
-        feed — fleet workers index each result as it lands.
+        Returns True when a record was actually appended.
         """
         return self.record_raw({
             "spec_hash": result.spec_hash,
@@ -119,10 +112,11 @@ class ResultStore:
 
         Dedup consults the sidecar refreshed to the index's current
         tail, so records landed by *other* processes since this store
-        was opened are seen — two workers recording the same
-        ``(label, spec_hash)`` can still both append in the window
-        between refresh and write, which is why every reader
-        deduplicates again (newest wins).
+        was opened are seen.  Two processes recording the same
+        ``(label, spec_hash)`` (a backfill racing a finalize) can
+        still both append in the window between refresh and write,
+        and stores written by earlier versions hold such duplicates,
+        which is why every reader deduplicates again (newest wins).
         """
         self._refresh_sidecar()
         label, spec_hash = record["label"], record["spec_hash"]
@@ -133,8 +127,8 @@ class ResultStore:
         payload.setdefault("ts", time.time())
         line = json.dumps(payload, sort_keys=True,
                           separators=(",", ":")) + "\n"
-        # one O_APPEND write per record: concurrent fleet workers each
-        # land whole lines; interleaving between lines is fine, torn
+        # one O_APPEND write per record: concurrent writers each land
+        # whole lines; interleaving between lines is fine, torn
         # lines (a crash mid-write) are skipped by readers
         fd = os.open(self.index_path,
                      os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
@@ -190,13 +184,6 @@ class ResultStore:
             yield record
 
     # -- the offset sidecar -------------------------------------------------
-    def _read_generation(self) -> int:
-        try:
-            payload = json.loads(self.generation_path.read_text())
-            return int(payload["generation"])
-        except (OSError, ValueError, TypeError, KeyError):
-            return 0
-
     def _index_size(self) -> int:
         try:
             return os.stat(self.index_path).st_size
@@ -208,37 +195,30 @@ class ResultStore:
         self._keys.setdefault(record["label"], set()) \
             .add(record["spec_hash"])
 
-    def _rebuild_sidecar(self, generation: int) -> None:
-        """Full scan → fresh sidecar (missing/torn/cross-generation)."""
+    def _rebuild_sidecar(self) -> None:
+        """Full scan → fresh sidecar (missing/torn/overshooting)."""
         self._offsets = {}
         self._keys = {}
         end = [0]
         for offset, record in self._scan(end_box=end):
             self._fold(offset, record)
         self._covers = end[0]
-        self._generation = generation
         self.sidecar_rebuilds += 1
         self._persist_sidecar()
 
     def _refresh_sidecar(self) -> None:
         """Bring the in-memory sidecar up to the index's current tail.
 
-        Resolution order: a warm in-memory sidecar of the current
-        generation only scans the grown tail; a cold instance adopts
-        the on-disk sidecar when its generation matches and it covers
+        Resolution order: a warm in-memory sidecar only scans the grown
+        tail; a cold instance adopts the on-disk sidecar when it covers
         no more than the index holds; anything else — missing, torn,
-        older/newer generation, or covering bytes the (compacted)
-        index no longer has — triggers a full rebuild.
+        or covering bytes the index no longer has — triggers a full
+        rebuild.
         """
-        generation = self._read_generation()
         size = self._index_size()
-        if self._offsets is None:
-            adopted = self._load_sidecar_file(generation, size)
-            if not adopted:
-                self._rebuild_sidecar(generation)
-                return
-        if generation != self._generation or size < self._covers:
-            self._rebuild_sidecar(generation)
+        if (self._offsets is None and not self._load_sidecar_file(size)) \
+                or size < self._covers:
+            self._rebuild_sidecar()
             return
         if size > self._covers:
             scanned_from = self._covers
@@ -250,8 +230,13 @@ class ResultStore:
             if self._covers - scanned_from >= SIDECAR_PERSIST_MIN_BYTES:
                 self._persist_sidecar()
 
-    def _load_sidecar_file(self, generation: int, size: int) -> bool:
-        """Adopt ``index.offsets`` if it is sound; False otherwise."""
+    def _load_sidecar_file(self, size: int) -> bool:
+        """Adopt ``index.offsets`` if it is sound; False otherwise.
+
+        Sidecars written by earlier versions carry a ``generation``
+        key (a compaction stamp); it is ignored, like a leftover
+        ``store/generation`` file — the covers ≤ size rule and the
+        read-back hash check in :meth:`get_result` are the guards."""
         try:
             payload = json.loads(self.offsets_path.read_text())
         except (OSError, ValueError):
@@ -260,19 +245,17 @@ class ResultStore:
             return False
         try:
             covers = int(payload["covers"])
-            file_generation = int(payload["generation"])
             offsets = {str(k): int(v)
                        for k, v in payload["offsets"].items()}
             keys = {str(label): set(map(str, hashes))
                     for label, hashes in payload["keys"].items()}
         except (KeyError, TypeError, ValueError, AttributeError):
             return False  # torn or foreign: rebuild from the index
-        if file_generation != generation or covers > size or covers < 0:
+        if covers > size or covers < 0:
             return False
         self._offsets = offsets
         self._keys = keys
         self._covers = covers
-        self._generation = generation
         return True
 
     def _persist_sidecar(self) -> None:
@@ -280,7 +263,6 @@ class ResultStore:
         concurrent persisters are last-writer-wins, and every snapshot
         is valid for the covers it declares)."""
         atomic_write_text(self.offsets_path, json.dumps({
-            "generation": self._generation,
             "covers": self._covers,
             "offsets": self._offsets,
             "keys": {label: sorted(hashes)
@@ -320,10 +302,9 @@ class ResultStore:
         ready for :class:`repro.analysis.compare.SweepData`.
 
         Deduplicated per spec hash (newest record wins, first-seen
-        order kept): a reassignment race that indexed a point twice
-        must not double-weight it in a comparison.  This is a
-        streaming pass over the label's records — compaction is what
-        keeps it proportional to live points rather than history.
+        order kept): a point indexed twice (an older store, or a
+        backfill racing a finalize) must not double-weight it in a
+        comparison.  This is one streaming pass over the index.
         """
         by_hash: Dict[str, Dict[str, Any]] = {}
         for record in self.entries():
@@ -344,8 +325,8 @@ class ResultStore:
         One sidecar probe + one seek + one line read — never a full
         scan on the hot path (the serve tier calls this per store-tier
         probe).  A record read back with the wrong hash means the
-        index was compacted under our offsets; rebuild once and
-        retry.
+        sidecar describes a different index file (deleted and
+        re-grown); rebuild once and retry.
 
         Content-addressed trust: the hash covers the full spec payload
         (schema version included), so serving an indexed result is
@@ -360,82 +341,16 @@ class ResultStore:
             if record is not None and \
                     record.get("spec_hash") == spec_hash:
                 return ScenarioResult.from_dict(record["result"])
-            # stale offset (index swapped between refresh and seek):
-            # rebuild against the current generation and retry once
-            self._rebuild_sidecar(self._read_generation())
+            # stale offset (the sidecar describes another index
+            # file): rebuild from the current one and retry once
+            self._rebuild_sidecar()
         return None
 
     def __len__(self) -> int:
         """Distinct ``(label, spec_hash)`` records (duplicate physical
-        lines from concurrent writers count once)."""
+        lines count once)."""
         self._refresh_sidecar()
         return sum(len(hashes) for hashes in self._keys.values())
-
-    def superseded_fraction(self) -> float:
-        """Fraction of physical records shadowed by a newer record of
-        the same ``(label, spec_hash)`` — what :meth:`compact` would
-        drop, as a ratio.  The dispatcher's auto-compaction trigger
-        compares this against its threshold at finalize; an empty
-        store is 0.0 (nothing to reclaim)."""
-        total = sum(1 for _ in self.entries())
-        if total == 0:
-            return 0.0
-        return (total - len(self)) / total
-
-    # -- compaction ---------------------------------------------------------
-    def compact(self) -> Dict[str, int]:
-        """Rewrite the index keeping the newest record per
-        ``(label, spec_hash)``; atomic swap + generation bump.
-
-        Surviving records keep the **first-occurrence order** of their
-        keys with the newest payload per key, so every read —
-        ``get_result``, ``sweep_points``, ``labels``, ``len`` — returns
-        byte-identical answers before and after (pinned by the tier-1
-        suite).  The generation stamp is bumped *before* the swap:
-        a reader refreshing in the window rebuilds from whichever file
-        it sees instead of trusting offsets across the swap, and the
-        wrong-hash retry in :meth:`get_result` covers the rest.
-
-        Run while no fleet is appending: the final tail merge closes
-        the window, but a record appended after it and before the
-        ``os.replace`` would die with the old inode.
-        """
-        newest: Dict[Tuple[str, str], Dict[str, Any]] = {}
-        records_before = 0
-        covers = 0
-        # first pass, then re-merge any tail that landed while we
-        # scanned (bounds, not closes, the race — see the docstring)
-        while True:
-            end = [covers]
-            for _offset, record in self._scan(covers, end_box=end):
-                key = (record["label"], record["spec_hash"])
-                if key in newest:
-                    newest[key].update(record)  # newest payload, old slot
-                else:
-                    newest[key] = dict(record)
-                records_before += 1
-            covers = end[0]
-            if self._index_size() <= covers:
-                break
-        lines = [json.dumps(record, sort_keys=True,
-                            separators=(",", ":")) + "\n"
-                 for record in newest.values()]
-        generation = self._read_generation() + 1
-        atomic_write_text(self.generation_path,
-                          json.dumps({"generation": generation,
-                                      "compacted_at": time.time()}))
-        atomic_write_text(self.index_path, "".join(lines))
-        stats = {
-            "records_before": records_before,
-            "records_after": len(lines),
-            "dropped": records_before - len(lines),
-            "bytes_after": self._index_size(),
-            "generation": generation,
-        }
-        # our own sidecar is now stale by construction; rebuild it
-        # (and persist) against the compacted file
-        self._rebuild_sidecar(generation)
-        return stats
 
     # -- backfill -----------------------------------------------------------
     def backfill(self, sweeps: os.PathLike | str) -> Dict[str, int]:

@@ -6,10 +6,9 @@ atomic rename protocol, and runs it through the exact same
 ``run_cached`` path a sweep uses — so results land in the shared
 :class:`~repro.scenarios.runner.ResultCache` *before* the point is
 marked done, and a worker killed between the two leaves an idempotent
-rerun, never a lost or duplicated result.  Every computed result is
-also appended to the consolidated
-:class:`~repro.fleet.store.ResultStore` through the cache's
-``on_put`` index hook.
+rerun, never a lost or duplicated result.  Workers never write the
+consolidated :class:`~repro.fleet.store.ResultStore`: the
+dispatcher's finalize indexes every resolved point, once.
 
 A heartbeat thread keeps the worker's liveness file fresh while a
 point computes; a compute that *raises* (as opposed to a scenario
@@ -49,7 +48,6 @@ from .protocol import (
     ResolvedCounter,
     requeue_task,
 )
-from .store import ResultStore
 
 
 def default_worker_id() -> str:
@@ -77,8 +75,6 @@ class FleetWorker:
     ) -> None:
         self.dirs = FleetDirs(fleet_dir)
         grid = self.dirs.read_grid()
-        self.label: str = grid["label"]
-        self.scenario: str = grid["scenario"]
         self.n_points: int = grid["n_points"]
         self.max_retries: int = grid.get("max_retries",
                                          DEFAULT_MAX_RETRIES)
@@ -93,16 +89,7 @@ class FleetWorker:
         self.poll_interval = poll_interval
         cache_root = Path(cache_dir) if cache_dir is not None \
             else self.dirs.root.parent.parent
-        self.store = ResultStore(cache_root)
-        # the index hook: every result this worker computes is
-        # appended to the consolidated store the moment the cache
-        # write makes it durable
-        self.cache = ResultCache(
-            cache_root,
-            on_put=lambda spec, result: self.store.record(
-                spec, result, self.label, self.scenario
-            ),
-        )
+        self.cache = ResultCache(cache_root)
         workloads.set_trace_cache_dir(str(cache_root / "traces"))
         self.points_done = 0
         self._current: Optional[int] = None

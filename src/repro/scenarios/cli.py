@@ -63,7 +63,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Any, Dict, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from ..params import parse_grid_sets, parse_value
 from .manifest import dump_manifest, manifest_payload, point_entry, sweeps_dir
@@ -318,26 +318,27 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return _execute(args, runner, entry.name, specs)
 
 
+def _parse_percentiles(text: Optional[str]) -> Tuple[float, ...]:
+    """``compare --percentiles`` ("50,99") → ``(50.0, 99.0)``."""
+    if not text:
+        return ()
+    try:
+        return tuple(float(p) for p in text.split(",") if p.strip())
+    except ValueError:
+        raise _UsageError(
+            f"--percentiles expects comma-separated numbers, got {text!r}"
+        ) from None
+
+
 def cmd_compare(args: argparse.Namespace) -> int:
     from ..analysis import SweepData, compare_sweeps
 
     a = SweepData.from_manifest(_load_manifest(args.a, args.cache_dir))
     b = SweepData.from_manifest(_load_manifest(args.b, args.cache_dir))
-    percentiles: Tuple[float, ...] = ()
-    if args.percentiles:
-        try:
-            percentiles = tuple(
-                float(p) for p in args.percentiles.split(",") if p.strip()
-            )
-        except ValueError:
-            raise _UsageError(
-                f"--percentiles expects comma-separated numbers, "
-                f"got {args.percentiles!r}"
-            ) from None
     try:
-        comparison = compare_sweeps(a, b, metric=args.metric,
-                                    over=tuple(args.over or ()),
-                                    percentiles=percentiles)
+        comparison = compare_sweeps(
+            a, b, metric=args.metric, over=tuple(args.over or ()),
+            percentiles=_parse_percentiles(args.percentiles))
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     if args.format == "html":

@@ -615,20 +615,7 @@ class ResultCache(JsonCache):
     are content-addressed, merging two caches is a plain file copy
     (``sweep --from-cache``).  Atomicity, miss semantics and the I/O
     counters come from :class:`JsonCache`.
-
-    ``on_put`` is the consolidated-store index hook: when set (fleet
-    workers point it at :class:`repro.fleet.store.ResultStore`), every
-    newly computed result is appended to the cross-sweep index the
-    moment it becomes durable — the cache stays the single producer of
-    durable results, and the index can never record a result the cache
-    doesn't hold.
     """
-
-    def __init__(self, root: os.PathLike | str,
-                 on_put: Optional[Any] = None) -> None:
-        super().__init__(root)
-        #: Optional ``callable(spec, result)`` invoked after each put.
-        self.on_put = on_put
 
     def get(self, spec: ScenarioSpec) -> Optional[ScenarioResult]:
         """The cached result for ``spec``, or None."""
@@ -638,12 +625,9 @@ class ResultCache(JsonCache):
         return ScenarioResult.from_dict(payload["result"])
 
     def put(self, spec: ScenarioSpec, result: ScenarioResult) -> None:
-        """Store ``result`` under ``spec``'s hash (atomic write),
-        then fire the index hook."""
+        """Store ``result`` under ``spec``'s hash (atomic write)."""
         self.store(spec.spec_hash(),
                    {"spec": spec.hash_payload(), "result": result.to_dict()})
-        if self.on_put is not None:
-            self.on_put(spec, result)
 
 
 def cached_result(

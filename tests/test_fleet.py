@@ -39,7 +39,7 @@ from repro.fleet import (
 )
 from repro.fleet.cli import main as fleet_main
 from repro.fleet.telemetry import WorkerStat, flag_stragglers
-from repro.scenarios import SCENARIOS, expand_grid, run_scenario
+from repro.scenarios import SCENARIOS, expand_grid, run_scenario, workloads
 from repro.scenarios.cli import main as scenarios_main
 from repro.scenarios.runner import ResultCache, clear_memo
 from repro.scenarios.spec import PlatformPlan, ScenarioSpec
@@ -94,6 +94,22 @@ def _append_line(store, record):
     with open(store.index_path, "a") as fh:
         fh.write(json.dumps(record, sort_keys=True,
                             separators=(",", ":")) + "\n")
+
+
+def _persist_full_sidecar(cache, pairs):
+    """Record ``pairs`` under label "a", then have a fresh reader
+    rebuild the sidecar from the index — the rebuild persists a
+    snapshot covering every record."""
+    store = ResultStore(cache)
+    for spec, result in pairs:
+        store.record(spec, result, "a", SCENARIO)
+    store.offsets_path.unlink()
+    rebuilt = ResultStore(cache)
+    assert len(rebuilt) == len(pairs)
+    assert rebuilt.sidecar_rebuilds == 1
+    payload = json.loads(rebuilt.offsets_path.read_text())
+    assert payload["covers"] == rebuilt.index_path.stat().st_size
+    return rebuilt
 
 
 # -- the consolidated store ---------------------------------------------------
@@ -159,26 +175,6 @@ class TestResultStore:
         fresh = ResultStore(tmp_path)
         assert len(fresh) == 1
 
-    def test_superseded_fraction_counts_shadowed_records(self, tmp_path):
-        store = ResultStore(tmp_path)
-        assert store.superseded_fraction() == 0.0  # empty: nothing to do
-        spec, result = _probe_result()
-        store.record(spec, result, "a", SCENARIO)
-        assert store.superseded_fraction() == 0.0  # all live
-        record = {
-            "spec_hash": result.spec_hash, "name": spec.name,
-            "label": "a", "scenario": SCENARIO,
-            "result": result.to_dict(),
-        }
-        _append_line(store, record)
-        _append_line(store, record)
-        # 3 physical records, 1 live key: two thirds are history
-        fresh = ResultStore(tmp_path)
-        assert fresh.superseded_fraction() == pytest.approx(2 / 3)
-        fresh.compact()
-        assert ResultStore(tmp_path).superseded_fraction() == 0.0
-        assert fresh.labels() == {"a": 1}
-
     def test_get_result_returns_newest(self, tmp_path):
         spec, result = _probe_result()
         store = ResultStore(tmp_path)
@@ -189,23 +185,40 @@ class TestResultStore:
 
     def test_persisted_sidecar_is_adopted_not_rebuilt(self, tmp_path):
         pairs = [_probe_result(seed=s) for s in (1, 2, 3)]
-        store = ResultStore(tmp_path)
-        for spec, result in pairs:
-            store.record(spec, result, "a", SCENARIO)
-        store.compact()  # persists a snapshot covering every record
-        assert store.offsets_path.exists()
+        _persist_full_sidecar(tmp_path, pairs)
         fresh = ResultStore(tmp_path)
         for _spec, result in pairs:
             assert fresh.get_result(result.spec_hash).canonical_json() \
                 == result.canonical_json()
-        # the lookups went through the adopted sidecar: no full scan
+        # the lookups went through the adopted sidecar: no full scan,
+        # and no tail either — the snapshot covered every record
+        assert fresh.sidecar_rebuilds == 0
+        assert fresh.sidecar_tail_refreshes == 0
+
+    def test_old_format_sidecar_and_generation_file_are_adopted(
+            self, tmp_path):
+        """Stores written by earlier versions carry a ``generation``
+        key in the sidecar and a ``store/generation`` stamp beside
+        it; both are ignored, and the sidecar is adopted as is."""
+        pairs = [_probe_result(seed=s) for s in (1, 2)]
+        store = _persist_full_sidecar(tmp_path, pairs)
+        payload = json.loads(store.offsets_path.read_text())
+        payload["generation"] = 1
+        store.offsets_path.write_text(json.dumps(payload))
+        (store.root / "generation").write_text(
+            json.dumps({"generation": 1, "compacted_at": 0.0}))
+        fresh = ResultStore(tmp_path)
+        for _spec, result in pairs:
+            assert fresh.get_result(result.spec_hash).canonical_json() \
+                == result.canonical_json()
+        assert fresh.labels() == {"a": 2}
         assert fresh.sidecar_rebuilds == 0
 
     def test_torn_sidecar_is_rebuilt_from_the_index(self, tmp_path):
         spec, result = _probe_result()
         store = ResultStore(tmp_path)
         store.record(spec, result, "a", SCENARIO)
-        store.offsets_path.write_text('{"generation": 0, "cov')
+        store.offsets_path.write_text('{"covers": 0, "offs')
         fresh = ResultStore(tmp_path)
         assert fresh.get_result(result.spec_hash).canonical_json() \
             == result.canonical_json()
@@ -216,15 +229,11 @@ class TestResultStore:
         assert payload["covers"] == store.index_path.stat().st_size
 
     def test_lying_offsets_caught_by_hash_check(self, tmp_path):
-        """A sidecar with the right generation but wrong offsets (the
-        compaction-swap window) is caught by the read-back hash
-        mismatch and rebuilt — the sidecar can be stale, never
-        wrong."""
+        """A sound-looking sidecar with wrong offsets (one describing
+        another index file) is caught by the read-back hash mismatch
+        and rebuilt — the sidecar can be stale, never wrong."""
         (s1, r1), (s2, r2) = _probe_result(seed=1), _probe_result(seed=2)
-        store = ResultStore(tmp_path)
-        store.record(s1, r1, "a", SCENARIO)
-        store.record(s2, r2, "a", SCENARIO)
-        store.compact()
+        store = _persist_full_sidecar(tmp_path, [(s1, r1), (s2, r2)])
         payload = json.loads(store.offsets_path.read_text())
         payload["offsets"][r1.spec_hash] = \
             payload["offsets"][r2.spec_hash]
@@ -234,62 +243,47 @@ class TestResultStore:
             == r1.canonical_json()
         assert fresh.sidecar_rebuilds == 1
 
-    def test_compaction_invalidates_warm_readers(self, tmp_path):
-        """A reader holding pre-compaction offsets sees the generation
-        bump on its next refresh and rebuilds instead of seeking into
-        the rewritten file."""
-        spec, result = _probe_result()
-        old = {"spec_hash": result.spec_hash, "name": spec.name,
-               "label": "a", "scenario": SCENARIO,
-               "result": dict(result.to_dict(), t=1.0)}
-        writer = ResultStore(tmp_path)
-        writer.record_raw(old)
+    def test_warm_reader_tails_another_writers_records(self, tmp_path):
+        """A reader with a warm sidecar picks up records another writer
+        appended by scanning only the grown tail — no rebuild."""
+        (s1, r1), (s2, r2) = _probe_result(seed=1), _probe_result(seed=2)
+        ResultStore(tmp_path).record(s1, r1, "a", SCENARIO)
         reader = ResultStore(tmp_path)
-        assert reader.get_result(result.spec_hash).t == 1.0
-        # a concurrent writer lands a newer duplicate, then compacts
-        _append_line(writer, dict(old, result=dict(result.to_dict(),
-                                                   t=2.0)))
-        writer.compact()
-        assert reader.get_result(result.spec_hash).t == 2.0
-        assert reader.sidecar_rebuilds >= 1
+        assert reader.get_result(r1.spec_hash).canonical_json() \
+            == r1.canonical_json()
+        rebuilds = reader.sidecar_rebuilds
+        tails = reader.sidecar_tail_refreshes
+        ResultStore(tmp_path).record(s2, r2, "b", SCENARIO)
+        assert reader.get_result(r2.spec_hash).canonical_json() \
+            == r2.canonical_json()
+        assert reader.labels() == {"a": 1, "b": 1}
+        assert reader.sidecar_rebuilds == rebuilds
+        assert reader.sidecar_tail_refreshes == tails + 1
 
-    def test_compaction_preserves_every_read(self, tmp_path):
-        """Compacted and uncompacted stores answer identically:
-        ``sweep_points`` (order included), ``labels``, ``len``, and
-        per-hash ``get_result`` — pinned via canonical JSON."""
+    def test_regrown_index_caught_by_warm_reader(self, tmp_path):
+        """The index is deleted and re-grown under a warm reader, with
+        the records in another order and one more: the reader's
+        offsets now point at the wrong lines, and the read-back hash
+        check rebuilds instead of answering the wrong result."""
         pairs = [_probe_result(seed=s) for s in (1, 2, 3)]
-        store = ResultStore(tmp_path)
-        for spec, result in pairs:
-            store.record(spec, result, "a", SCENARIO)
-        store.record(pairs[0][0], pairs[0][1], "b", SCENARIO)
-        # a newer duplicate for one key: compaction must keep it
-        s1, r1 = pairs[1]
-        _append_line(store, {
-            "spec_hash": r1.spec_hash, "name": s1.name, "label": "a",
-            "scenario": SCENARIO,
-            "result": dict(r1.to_dict(), t=99.0),
-        })
-
-        def snapshot(view):
-            return (
-                json.dumps(view.sweep_points("a"), sort_keys=True),
-                json.dumps(view.sweep_points("b"), sort_keys=True),
-                view.labels(), len(view),
-                {r.spec_hash: view.get_result(r.spec_hash)
-                               .canonical_json()
-                 for _s, r in pairs},
-            )
-
-        before = snapshot(ResultStore(tmp_path))
-        stats = store.compact()
-        assert stats["records_before"] == 5
-        assert stats["records_after"] == 4 and stats["dropped"] == 1
-        assert stats["generation"] == 1
-        assert snapshot(ResultStore(tmp_path)) == before
-        # compaction is idempotent (apart from the generation bump)
-        again = store.compact()
-        assert again["dropped"] == 0 and again["generation"] == 2
-        assert snapshot(ResultStore(tmp_path)) == before
+        (s1, r1), (s2, r2), (s3, r3) = pairs
+        writer = ResultStore(tmp_path)
+        writer.record(s1, r1, "a", SCENARIO)
+        writer.record(s2, r2, "a", SCENARIO)
+        reader = ResultStore(tmp_path)
+        assert reader.get_result(r1.spec_hash).canonical_json() \
+            == r1.canonical_json()
+        rebuilds = reader.sidecar_rebuilds
+        writer.index_path.unlink()
+        writer.offsets_path.unlink()
+        regrown = ResultStore(tmp_path)
+        for spec, result in (pairs[1], pairs[0], pairs[2]):
+            regrown.record(spec, result, "a", SCENARIO)
+        for _spec, result in pairs:
+            assert reader.get_result(result.spec_hash).canonical_json() \
+                == result.canonical_json()
+        assert reader.sidecar_rebuilds > rebuilds
+        assert reader.labels() == {"a": 3}
 
     def test_backfill_absorbs_only_complete_sweeps(self, tmp_path):
         sweeps = tmp_path / "sweeps"
@@ -535,22 +529,69 @@ class TestTelemetry:
 # -- the dispatcher -----------------------------------------------------------
 
 class TestFleetRuns:
+    def test_worker_never_writes_the_store(self, tmp_path, monkeypatch):
+        """A worker persists to the result cache and its done record
+        only: the dispatcher's finalize is the store's one writer."""
+        # the worker re-points the process-global trace cache
+        monkeypatch.setattr(workloads, "_TRACE_CACHE_DIR",
+                            workloads._TRACE_CACHE_DIR)
+        clear_memo()
+        cache = tmp_path / "cache"
+        spec = _specs()[0]
+        dirs = FleetDirs(cache / "fleet" / "g").create()
+        dirs.write_grid({"label": "g", "scenario": SCENARIO,
+                         "n_points": 1})
+        dirs.enqueue({"index": 0, "name": spec.name,
+                      "spec_hash": spec.spec_hash(),
+                      "spec": spec.to_dict(), "attempt": 1})
+        worker = FleetWorker(dirs.root, cache_dir=cache, worker_id="w0",
+                             heartbeat_interval=0.05, poll_interval=0.01)
+        assert worker.run() == 1
+        assert dirs.done_indices() == {0}
+        assert ResultCache(cache).get(spec) is not None
+        assert not (cache / "store" / "index.jsonl").exists()
+
     def test_fleet_manifest_byte_identical_to_serial_sweep(self, tmp_path):
         serial = _serial_manifest(tmp_path / "serial")
         clear_memo()  # the fleet must earn its points, not inherit them
-        outcome = FleetDispatcher(
-            _specs(), label="g", scenario=SCENARIO,
+        specs = _specs()
+        # start barrier: grid point 0 hangs its worker until every
+        # other point is done, so the other worker must steal those
+        # eleven — however the two worker start-ups interleave
+        dispatcher = FleetDispatcher(
+            specs, label="g", scenario=SCENARIO,
             cache_dir=tmp_path / "fleet", workers=2,
             heartbeat_interval=0.1, poll_interval=0.05,
-            wall_timeout=120.0, spawn_env=_spawn_env(),
-        ).run()
+            wall_timeout=120.0, spawn_env=_spawn_env(
+                REPRO_FLEET_FAULT=f"{specs[0].spec_hash()[:16]}=hang"
+            ),
+        )
+        box = {}
+        thread = threading.Thread(
+            target=lambda: box.update(outcome=dispatcher.run()))
+        thread.start()
+        try:
+            others = set(range(1, len(specs)))
+            deadline = time.monotonic() + 60.0
+            while not others <= dispatcher.dirs.done_indices():
+                assert time.monotonic() < deadline, \
+                    "the other points never finished"
+                time.sleep(0.02)
+        finally:
+            (dispatcher.dirs.root / "fault-disarmed").write_text("")
+            thread.join(timeout=120.0)
+        assert not thread.is_alive()
+        outcome = box["outcome"]
         assert outcome.complete
         assert outcome.computed == 12 and outcome.cached == 0
         # at least two workers actually stole work
         assert len(outcome.worker_points) >= 2
         assert outcome.manifest_path.read_bytes() == serial.read_bytes()
-        # every computed point was indexed exactly once
-        assert len(ResultStore(tmp_path / "fleet")) == 12
+        # every computed point was indexed exactly once: one physical
+        # index line per grid point, not just twelve distinct keys
+        store = ResultStore(tmp_path / "fleet")
+        assert len(store) == 12
+        assert len(store.index_path.read_text().splitlines()) == 12
 
     def test_fleet_resolves_from_shared_cache_without_workers(
             self, tmp_path):
@@ -565,6 +606,22 @@ class TestFleetRuns:
         assert outcome.complete
         assert outcome.cached == 12 and outcome.computed == 0
         assert outcome.manifest_path.read_bytes() == serial.read_bytes()
+
+    def test_finalize_rerun_appends_no_index_lines(self, tmp_path):
+        """The dispatcher's finalize dedups against the store: a rerun
+        of an indexed label writes nothing, so the index keeps exactly
+        one physical line per grid point."""
+        cache = tmp_path / "shared"
+        _serial_manifest(cache)
+        index = ResultStore(cache).index_path
+        for _run in range(2):
+            outcome = FleetDispatcher(
+                _specs(), label="g", scenario=SCENARIO, cache_dir=cache,
+                workers=0, wall_timeout=60.0,
+            ).run()
+            assert outcome.complete
+            assert len(index.read_text().splitlines()) == 12
+        assert ResultStore(cache).labels() == {"g": 12}
 
     def test_rerun_resumes_from_done_records(self, tmp_path):
         cache = tmp_path / "fleet"
@@ -585,56 +642,6 @@ class TestFleetRuns:
             == first.manifest_path.read_bytes()
         # resume did not double-index the store
         assert len(ResultStore(cache)) == 12
-
-    def test_finalize_compacts_a_history_heavy_store(self, tmp_path):
-        """Once superseded records cross the threshold, finalize
-        compacts — and a threshold of 1.0 never does."""
-        cache = tmp_path / "shared"
-        _serial_manifest(cache)
-        specs = _specs()
-        first = FleetDispatcher(
-            specs, label="g", scenario=SCENARIO, cache_dir=cache,
-            workers=0, wall_timeout=60.0,
-        ).run()
-        assert first.complete and first.compaction is None  # all live
-        # shadow every record once (the double-index a reassignment
-        # race leaves behind): half the index is now history
-        store = ResultStore(cache)
-        for record in list(store.entries()):
-            _append_line(store, record)
-        polluted = ResultStore(cache)
-        assert polluted.superseded_fraction() == pytest.approx(0.5)
-        # threshold 1.0: auto-compaction is off, history survives
-        off = FleetDispatcher(
-            specs, label="g", scenario=SCENARIO, cache_dir=cache,
-            workers=0, wall_timeout=60.0, compact_threshold=1.0,
-        ).run()
-        assert off.complete and off.compaction is None
-        assert ResultStore(cache).superseded_fraction() \
-            == pytest.approx(0.5)
-        # a threshold under the fraction: finalize rewrites the index
-        outcome = FleetDispatcher(
-            specs, label="g", scenario=SCENARIO, cache_dir=cache,
-            workers=0, wall_timeout=60.0, compact_threshold=0.4,
-        ).run()
-        assert outcome.complete
-        assert outcome.compaction is not None
-        assert outcome.compaction["records_before"] == 24
-        assert outcome.compaction["records_after"] == 12
-        assert outcome.compaction["dropped"] == 12
-        compacted = ResultStore(cache)
-        assert compacted.superseded_fraction() == 0.0
-        assert len(compacted.sweep_points("g")) == 12
-
-    def test_compact_threshold_validated(self, tmp_path):
-        from repro.fleet.dispatcher import FleetError
-
-        with pytest.raises(FleetError, match="compact_threshold"):
-            FleetDispatcher(
-                _specs(), label="g", scenario=SCENARIO,
-                cache_dir=tmp_path, compact_threshold=1.5,
-            )
-
 
 class TestFleetFaults:
     def test_sigkilled_worker_point_reassigned_exactly_once(
@@ -752,15 +759,6 @@ class TestFleetCli:
         assert fleet_main(["store", "--cache-dir", str(tmp_path)]) == 0
         assert "store is empty" in capsys.readouterr().out
 
-    def test_store_compact_reports_the_rewrite(self, tmp_path, capsys):
-        spec, result = _probe_result()
-        ResultStore(tmp_path).record(spec, result, "a", SCENARIO)
-        assert fleet_main(["store", "compact",
-                           "--cache-dir", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "store compacted: 1 -> 1 records" in out
-        assert "generation 1" in out
-
     def test_stats_unknown_label(self, tmp_path, capsys):
         assert fleet_main(["stats", "nope",
                            "--cache-dir", str(tmp_path)]) == 2
@@ -827,3 +825,24 @@ class TestFleetCli:
         ) == 0
         out = capsys.readouterr().out
         assert "Sweep comparison" in out
+
+    def test_compare_percentiles_parsed_alike_by_both_clis(
+            self, tmp_path, capsys):
+        """``fleet compare`` and ``scenarios compare`` share one
+        ``--percentiles`` parser: same columns, same usage error."""
+        _serial_manifest(tmp_path)
+        capsys.readouterr()
+        common = ["compare", "g", "g", "--cache-dir", str(tmp_path),
+                  "--over", "seed"]
+        outs = []
+        for cli in (fleet_main, scenarios_main):
+            assert cli(common + ["--percentiles", "50,99"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert "P99" in outs[0]
+        errs = []
+        for cli in (fleet_main, scenarios_main):
+            assert cli(common + ["--percentiles", "50,x"]) == 2
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1]
+        assert "--percentiles expects comma-separated numbers" in errs[0]
