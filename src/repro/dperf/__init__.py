@@ -5,7 +5,8 @@ Pipeline stages (Fig. 6 of the paper):
 1. static analysis of C sources (``repro.dperf.minic``);
 2. automatic instrumentation (``repro.dperf.instrument``);
 3. execution of the instrumented code with virtual hardware counters
-   (``repro.dperf.interp`` + ``repro.dperf.papi``);
+   (``repro.dperf.codegen`` compiles the program to Python, run by
+   ``repro.dperf.interp`` + ``repro.dperf.papi``);
 4. block benchmarking and scale-up (``repro.dperf.blockbench``) priced
    per GCC optimization level (``repro.dperf.gcc`` +
    ``repro.dperf.costmodel``);
@@ -35,7 +36,7 @@ from .instrument import (
 )
 from .interp import (
     CArray,
-    Interp,
+    CompiledProgram,
     InterpError,
     NullComm,
     RankRun,
@@ -60,10 +61,10 @@ __all__ = [
     "CArray",
     "Census",
     "CommRecord",
+    "CompiledProgram",
     "ComputeGap",
     "DPerfPredictor",
     "GccModel",
-    "Interp",
     "InterpError",
     "MachineModel",
     "NullComm",

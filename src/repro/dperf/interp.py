@@ -1,4 +1,4 @@
-"""Mini-C interpreter with operation accounting.
+"""Mini-C execution with operation accounting, compiled to Python.
 
 This is the "execution of instrumented code" stage of dPerf (Fig. 6):
 the program runs for real — arrays hold real numbers, messages carry
@@ -6,17 +6,25 @@ real data between ranks — while every operation is charged to the
 innermost active instrumented block of the per-rank
 :class:`~repro.dperf.papi.SkeletonRecorder`.
 
-Multi-rank execution uses one Python thread per rank with blocking
-queues for the P2PSAP data plane, so synchronous iterative codes (the
-obstacle problem) execute with their true data dependences.
+:class:`CompiledProgram` translates each mini-C function once into
+Python source (:mod:`~repro.dperf.codegen`, which states the census
+invariants the translation keeps) and ``exec``-s it; this module holds
+what that code runs against: the runtime helpers, the communication
+runtimes and the rank scheduler.
+
+Each rank is a generator: a blocking communication call (receive,
+barrier, reduction) is a ``yield``, a call to a user function that may
+block is a ``yield from``.  :func:`run_distributed` runs every rank on
+the calling thread, round-robin, each until it blocks; when every
+unfinished rank is blocked it raises at once, naming what each waits on.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
-import queue
 import re
-import threading
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
@@ -24,25 +32,11 @@ import numpy as np
 
 from .instrument import BlockTable
 from .minic import cast as A
-from .minic.semantics import BUILTINS, COMM_APIS
 from .papi import Census, CommRecord, SkeletonRecorder
 
 
 class InterpError(Exception):
     pass
-
-
-class _BreakSignal(Exception):
-    pass
-
-
-class _ContinueSignal(Exception):
-    pass
-
-
-class _ReturnSignal(Exception):
-    def __init__(self, value: Any) -> None:
-        self.value = value
 
 
 class CArray:
@@ -65,6 +59,9 @@ class CArray:
 # --------------------------------------------------------------------------
 # Communication runtimes
 # --------------------------------------------------------------------------
+#
+# ``data_recv``, ``barrier`` and ``allreduce_max`` are generators: they
+# yield a description of what the rank waits on until it can proceed.
 
 class NullComm:
     """Single-process runtime: rank 0 of 1; point-to-point is an error."""
@@ -75,82 +72,86 @@ class NullComm:
     def data_send(self, dst: int, values: np.ndarray, tag: str) -> None:
         raise InterpError("p2psap send with no peers (NullComm)")
 
-    def data_recv(self, src: int, count: int, tag: str) -> np.ndarray:
+    def data_recv(self, src: int, count: int, tag: str):
         raise InterpError("p2psap recv with no peers (NullComm)")
+        yield  # pragma: no cover - makes this a generator
 
-    def barrier(self) -> None:
-        pass
+    def barrier(self):
+        return
+        yield  # pragma: no cover
 
-    def allreduce_max(self, value: float) -> float:
+    def allreduce_max(self, value: float):
         return value
+        yield  # pragma: no cover
 
 
-class ThreadedComm:
-    """One rank's endpoint of the threaded multi-rank runtime."""
+class _Network:
+    """State shared by the ranks of one distributed run."""
 
-    def __init__(self, rank: int, size: int, shared: "_SharedComm") -> None:
-        self.rank = rank
+    def __init__(self, size: int) -> None:
         self.size = size
-        self._shared = shared
+        self.channels: Dict[tuple, deque] = {}
+        self.barrier_gen = 0
+        self.arrived = 0
+        self.slots: List[float] = [0.0] * size
+        self.progress = 0  # completed comm operations, for deadlock checks
+
+    def channel(self, src: int, dst: int) -> deque:
+        ch = self.channels.get((src, dst))
+        if ch is None:
+            ch = self.channels[(src, dst)] = deque()
+        return ch
+
+
+class RankComm:
+    """One rank's endpoint of a single-thread multi-rank run."""
+
+    def __init__(self, rank: int, net: _Network) -> None:
+        self.rank = rank
+        self.size = net.size
+        self._net = net
 
     def data_send(self, dst: int, values: np.ndarray, tag: str) -> None:
         if not (0 <= dst < self.size):
             raise InterpError(f"send to invalid rank {dst}")
-        self._shared.channel(self.rank, dst).put(np.array(values, copy=True))
+        self._net.channel(self.rank, dst).append(np.array(values, copy=True))
+        self._net.progress += 1
 
-    def data_recv(self, src: int, count: int, tag: str) -> np.ndarray:
+    def data_recv(self, src: int, count: int, tag: str):
         if not (0 <= src < self.size):
             raise InterpError(f"recv from invalid rank {src}")
-        try:
-            data = self._shared.channel(src, self.rank).get(
-                timeout=self._shared.timeout
-            )
-        except queue.Empty:
-            raise InterpError(
-                f"rank {self.rank}: recv from {src} timed out — "
-                "deadlock or peer failure"
-            ) from None
+        ch = self._net.channel(src, self.rank)
+        while not ch:
+            yield f"recv from {src}"
+        data = ch.popleft()
+        self._net.progress += 1
         if len(data) != count:
             raise InterpError(
                 f"rank {self.rank}: recv count {count} != sent {len(data)}"
             )
         return data
 
-    def barrier(self) -> None:
-        try:
-            self._shared.barrier.wait(timeout=self._shared.timeout)
-        except threading.BrokenBarrierError:
-            raise InterpError("barrier broken (peer failed?)") from None
+    def barrier(self):
+        net = self._net
+        gen = net.barrier_gen
+        net.arrived += 1
+        net.progress += 1
+        if net.arrived == net.size:
+            net.arrived = 0
+            net.barrier_gen += 1
+        while net.barrier_gen == gen:
+            yield "barrier"
 
-    def allreduce_max(self, value: float) -> float:
-        shared = self._shared
-        shared.reduce_slots[self.rank] = value
-        self.barrier()
-        result = max(shared.reduce_slots)
-        self.barrier()  # keep slots stable until everyone has read
+    def allreduce_max(self, value: float):
+        self._net.slots[self.rank] = value
+        yield from self.barrier()
+        result = max(self._net.slots)
+        yield from self.barrier()  # keep slots stable until everyone has read
         return result
 
 
-class _SharedComm:
-    def __init__(self, size: int, timeout: float) -> None:
-        self.size = size
-        self.timeout = timeout
-        self._channels: Dict[tuple, queue.Queue] = {}
-        self._lock = threading.Lock()
-        self.barrier = threading.Barrier(size)
-        self.reduce_slots: List[float] = [0.0] * size
-
-    def channel(self, src: int, dst: int) -> queue.Queue:
-        key = (src, dst)
-        ch = self._channels.get(key)
-        if ch is None:
-            with self._lock:
-                ch = self._channels.setdefault(key, queue.Queue())
-        return ch
-
-
 # --------------------------------------------------------------------------
-# The interpreter
+# Runtime helpers called by compiled code
 # --------------------------------------------------------------------------
 
 _FLOAT_TYPES = ("float", "double")
@@ -158,633 +159,162 @@ _FLOAT_TYPES = ("float", "double")
 _PRINTF_SPEC = re.compile(r"%[-+ #0-9.]*([dioufgGeEsxX%])")
 
 
-class Interp:
-    """Evaluates one rank's program with operation accounting."""
-
-    def __init__(
-        self,
-        program: A.Program,
-        recorder: Optional[SkeletonRecorder] = None,
-        comm: Optional[Any] = None,
-        block_table: Optional[BlockTable] = None,
-        max_steps: Optional[int] = None,
-    ) -> None:
-        self.program = program
-        self.funcs = {f.name: f for f in program.funcs}
-        self.recorder = recorder or SkeletonRecorder(0)
-        self.comm = comm or NullComm()
-        self.table = block_table
-        self.output: List[str] = []
-        self.max_steps = max_steps
-        self._steps = 0
-        self._ctrl_stack: List[int] = []  # innermost loop-control block ids
-        self.globals: Dict[str, Any] = {}
-        self.global_types: Dict[str, str] = {}
-        # hot path: bind the recorder's charge directly (one hop less
-        # per executed operation)
-        self._charge = self.recorder.charge
-        self._init_globals()
-
-    # -- setup -------------------------------------------------------------
-    def _init_globals(self) -> None:
-        frame = _Frame(self.globals, self.global_types)
-        for decl_stmt in self.program.globals:
-            self._exec_decl(decl_stmt, frame)
-
-    # -- public API -----------------------------------------------------------
-    def call_function(self, name: str, args: Sequence[Any]) -> Any:
-        func = self.funcs.get(name)
-        if func is None:
-            raise InterpError(f"no function {name!r}")
-        if len(args) != len(func.params):
-            raise InterpError(
-                f"{name}() takes {len(func.params)} args, got {len(args)}"
-            )
-        frame = _Frame({}, {}, parent_values=self.globals,
-                       parent_types=self.global_types)
-        for param, arg in zip(func.params, args):
-            if param.is_array:
-                if isinstance(arg, np.ndarray):
-                    arg = CArray(arg, param.type.name in _FLOAT_TYPES)
-                if not isinstance(arg, CArray):
-                    raise InterpError(
-                        f"{name}(): parameter {param.name!r} expects an array"
-                    )
-                frame.values[param.name] = arg
-                frame.types[param.name] = param.type.name
-            else:
-                frame.values[param.name] = self._coerce(arg, param.type.name)
-                frame.types[param.name] = param.type.name
-        try:
-            self._exec_block(func.body, frame)
-        except _ReturnSignal as ret:
-            if func.return_type.is_void:
-                return None
-            return self._coerce(ret.value, func.return_type.name)
+def _coerce(value: Any, type_name: str) -> Any:
+    if value is None:
         return None
+    if type_name in _FLOAT_TYPES:
+        return float(value)
+    return int(value)  # truncation toward zero, as in C
 
-    # -- helpers -----------------------------------------------------------------
-    @staticmethod
-    def _coerce(value: Any, type_name: str) -> Any:
-        if value is None:
-            return None
-        if type_name in _FLOAT_TYPES:
-            return float(value)
-        return int(value)  # truncation toward zero, as in C
 
-    def _step(self) -> None:
-        self._steps += 1
-        if self.max_steps is not None and self._steps > self.max_steps:
-            raise InterpError(f"step limit {self.max_steps} exceeded")
+def _fail(message: str):
+    raise InterpError(message)
 
-    # -- statements ------------------------------------------------------------
-    def _exec_block(self, block: A.Block, frame: "_Frame") -> None:
-        inner = frame.child()
-        for stmt in block.stmts:
-            self._exec_stmt(stmt, inner)
 
-    def _exec_stmt(self, stmt: A.Stmt, frame: "_Frame") -> None:
-        self._step()
-        if isinstance(stmt, A.ExprStmt):
-            self._eval(stmt.expr, frame)
-        elif isinstance(stmt, A.DeclStmt):
-            self._exec_decl(stmt, frame)
-        elif isinstance(stmt, A.Block):
-            self._exec_block(stmt, frame)
-        elif isinstance(stmt, A.If):
-            self._charge("branch")
-            if self._truthy(self._eval_attr_ctrl(stmt.cond, frame)):
-                self._exec_stmt(stmt.then, frame.child())
-            elif stmt.other is not None:
-                self._exec_stmt(stmt.other, frame.child())
-        elif isinstance(stmt, A.While):
-            self._exec_while(stmt, frame)
-        elif isinstance(stmt, A.For):
-            self._exec_for(stmt, frame)
-        elif isinstance(stmt, A.Return):
-            value = None if stmt.value is None else self._eval(stmt.value, frame)
-            raise _ReturnSignal(value)
-        elif isinstance(stmt, A.Break):
-            raise _BreakSignal()
-        elif isinstance(stmt, A.Continue):
-            raise _ContinueSignal()
-        elif isinstance(stmt, A.Empty):
-            pass
-        else:  # pragma: no cover - defensive
-            raise InterpError(f"unsupported statement {type(stmt).__name__}")
+def _oob(line: int, name: str, idx: tuple, shape: tuple):
+    for axis, i in enumerate(idx):
+        if not (0 <= i < shape[axis]):
+            raise InterpError(
+                f"line {line}: index {i} out of bounds for axis"
+                f" {axis} of {name!r} (size {shape[axis]})"
+            )
+    raise AssertionError("index in bounds")  # pragma: no cover
 
-    def _exec_decl(self, stmt: A.DeclStmt, frame: "_Frame") -> None:
-        for d in stmt.decls:
-            if d.is_array:
-                dims = []
-                for dim_expr in d.dims:
-                    dim = int(self._eval(dim_expr, frame))
-                    if dim <= 0:
-                        raise InterpError(
-                            f"line {d.line}: array {d.name!r} dimension {dim} <= 0"
-                        )
-                    dims.append(dim)
-                is_float = d.type.name in _FLOAT_TYPES
-                dtype = np.float64 if is_float else np.int64
-                frame.declare(d.name, CArray(np.zeros(dims, dtype), is_float),
-                              d.type.name)
-                if d.init is not None:
-                    raise InterpError(
-                        f"line {d.line}: array initializers are not supported"
-                    )
-            else:
-                value = 0
-                if d.init is not None:
-                    value = self._eval(d.init, frame)
-                frame.declare(d.name, self._coerce(value, d.type.name),
-                              d.type.name)
-                self._charge("scalar_store")
 
-    def _exec_while(self, stmt: A.While, frame: "_Frame") -> None:
-        ctrl = self.table.control_block_for(stmt) if self.table else None
-        while True:
-            self._step()
-            self._charge_ctrl(ctrl, "branch")
-            cond = self._eval_with_ctrl(stmt.cond, frame, ctrl)
-            if not self._truthy(cond):
-                break
-            try:
-                self._run_loop_body(stmt.body, frame, ctrl)
-            except _BreakSignal:
-                break
-            except _ContinueSignal:
-                continue
+def _resolve(array: CArray, idx: tuple, line: int, name: str):
+    """Checks of an element access whose shape is only known at run time."""
+    data = array.data
+    if len(idx) > data.ndim:
+        raise InterpError(
+            f"line {line}: {name!r} has {data.ndim} dims,"
+            f" indexed with {len(idx)}"
+        )
+    for axis, i in enumerate(idx):
+        if not (0 <= i < data.shape[axis]):
+            _oob(line, name, idx, data.shape)
+    return data
 
-    def _exec_for(self, stmt: A.For, frame: "_Frame") -> None:
-        ctrl = self.table.control_block_for(stmt) if self.table else None
-        loop_frame = frame.child()
-        if stmt.init is not None:
-            if ctrl is not None:
-                self.recorder.attr_push(ctrl)
-                try:
-                    self._exec_stmt(stmt.init, loop_frame)
-                finally:
-                    self.recorder.attr_pop()
-            else:
-                self._exec_stmt(stmt.init, loop_frame)
-        while True:
-            self._step()
-            self._charge_ctrl(ctrl, "branch")
-            if stmt.cond is not None:
-                cond = self._eval_with_ctrl(stmt.cond, loop_frame, ctrl)
-                if not self._truthy(cond):
-                    break
-            try:
-                self._run_loop_body(stmt.body, loop_frame, ctrl)
-            except _BreakSignal:
-                break
-            except _ContinueSignal:
-                pass
-            if stmt.step is not None:
-                self._eval_with_ctrl(stmt.step, loop_frame, ctrl)
 
-    def _run_loop_body(self, body: A.Stmt, frame: "_Frame", ctrl) -> None:
-        if ctrl is not None:
-            self._ctrl_stack.append(ctrl)
-            try:
-                self._exec_stmt(body, frame.child())
-            finally:
-                self._ctrl_stack.pop()
+def _read(array: CArray, idx: tuple, line: int, name: str) -> Any:
+    data = _resolve(array, idx, line, name)
+    if len(idx) < data.ndim:
+        # Partial indexing yields a row view (C array decay).
+        return CArray(data[idx], array.is_float)
+    value = data[idx]
+    return float(value) if array.is_float else int(value)
+
+
+def _write(array: CArray, idx: tuple, value: Any, line: int, name: str):
+    data = _resolve(array, idx, line, name)
+    if len(idx) != data.ndim:
+        raise InterpError(f"line {line}: cannot assign to a whole row")
+    data[idx] = value
+
+
+def _scalar(value: Any, line: int, name: str) -> Any:
+    if isinstance(value, CArray):
+        raise InterpError(
+            f"line {line}: cannot use array {name!r} as a scalar"
+        )
+    return value
+
+
+def _dim(value: Any, line: int, name: str) -> int:
+    dim = int(value)
+    if dim <= 0:
+        raise InterpError(f"line {line}: array {name!r} dimension {dim} <= 0")
+    return dim
+
+
+# One implementation per arithmetic operator, shared by ``a op b`` and
+# ``a op= b``.
+
+def _div(left: Any, right: Any, line: int) -> Any:
+    if isinstance(left, int) and isinstance(right, int):
+        if right == 0:
+            raise InterpError(f"line {line}: integer division by zero")
+        return -(-left // right) if (left < 0) != (right < 0) else left // right
+    if right == 0.0:
+        return math.inf if left > 0 else (-math.inf if left < 0 else math.nan)
+    return left / right
+
+
+def _mod(left: Any, right: Any, line: int) -> int:
+    if not (isinstance(left, int) and isinstance(right, int)):
+        raise InterpError(f"line {line}: % requires integers")
+    if right == 0:
+        raise InterpError(f"line {line}: modulo by zero")
+    rem = abs(left) % abs(right)  # C: the sign follows the dividend
+    return -rem if left < 0 else rem
+
+
+def _int_op(left: Any, right: Any, fp: str) -> str:
+    return "int_op" if isinstance(left, int) and isinstance(right, int) else fp
+
+
+_MATH: Dict[str, Callable] = {
+    "fabs": lambda x: abs(float(x)),
+    "sqrt": math.sqrt,
+    "exp": math.exp,
+    "log": math.log,
+    "pow": math.pow,
+    "fmax": lambda a, b: max(float(a), float(b)),
+    "fmin": lambda a, b: min(float(a), float(b)),
+    "floor": math.floor,
+    "ceil": math.ceil,
+    "abs": lambda x: abs(int(x)),
+}
+
+def _builtin(name: str, line: int, *args: Any) -> Any:
+    try:
+        return _MATH[name](*args)
+    except ValueError as err:
+        raise InterpError(f"line {line}: {name}: {err}") from None
+
+
+def _buf(value: Any, line: int, name: str, i: int) -> CArray:
+    if not isinstance(value, CArray):
+        raise InterpError(f"line {line}: {name} argument {i} must be an array")
+    if value.data.ndim != 1:
+        raise InterpError(
+            f"line {line}: {name} needs a 1-D buffer "
+            "(pass a row, e.g. u[i])"
+        )
+    return value
+
+
+def _check_count(line: int, buf: CArray, count: int) -> None:
+    if count < 0 or count > len(buf.data):
+        raise InterpError(
+            f"line {line}: count {count} out of range for buffer"
+            f" of {len(buf.data)}"
+        )
+
+
+def _bind(func: A.FuncDef, args: Sequence[Any]) -> List[Any]:
+    """Check and coerce a call's arguments against ``func``'s params."""
+    name = func.name
+    if len(args) != len(func.params):
+        raise InterpError(
+            f"{name}() takes {len(func.params)} args, got {len(args)}"
+        )
+    bound = []
+    for param, arg in zip(func.params, args):
+        if param.is_array:
+            if isinstance(arg, np.ndarray):
+                arg = CArray(arg, param.type.name in _FLOAT_TYPES)
+            if not isinstance(arg, CArray):
+                raise InterpError(
+                    f"{name}(): parameter {param.name!r} expects an array"
+                )
+            bound.append(arg)
         else:
-            self._exec_stmt(body, frame.child())
-
-    def _charge_ctrl(self, ctrl: Optional[int], category: str) -> None:
-        if ctrl is not None:
-            self.recorder.attr_push(ctrl)
-            try:
-                self._charge(category)
-            finally:
-                self.recorder.attr_pop()
-        else:
-            self._charge(category)
-
-    def _eval_with_ctrl(self, expr: A.Expr, frame: "_Frame", ctrl) -> Any:
-        if ctrl is not None:
-            self.recorder.attr_push(ctrl)
-            try:
-                return self._eval(expr, frame)
-            finally:
-                self.recorder.attr_pop()
-        return self._eval(expr, frame)
-
-    def _eval_attr_ctrl(self, expr: A.Expr, frame: "_Frame") -> Any:
-        """Evaluate an If condition, attributed to the innermost loop's
-        control block when inside a loop."""
-        ctrl = self._ctrl_stack[-1] if self._ctrl_stack else None
-        return self._eval_with_ctrl(expr, frame, ctrl)
-
-    # -- expressions -------------------------------------------------------------
-    @staticmethod
-    def _truthy(value: Any) -> bool:
-        return bool(value)
-
-    def _eval(self, expr: A.Expr, frame: "_Frame") -> Any:
-        kind = type(expr)
-        if kind is A.IntLit:
-            return expr.value
-        if kind is A.FloatLit:
-            return expr.value
-        if kind is A.Ident:
-            value = frame.lookup(expr.name, expr.line)
-            if not isinstance(value, CArray):
-                self._charge("scalar_load")
-            return value
-        if kind is A.Index:
-            return self._eval_index_read(expr, frame)
-        if kind is A.BinOp:
-            return self._eval_binop(expr, frame)
-        if kind is A.Assign:
-            return self._eval_assign(expr, frame)
-        if kind is A.Call:
-            return self._eval_call(expr, frame)
-        if kind is A.UnOp:
-            return self._eval_unop(expr, frame)
-        if kind is A.Cast:
-            self._charge("int_op")
-            return self._coerce(self._eval(expr.expr, frame), expr.type.name)
-        if kind is A.Cond:
-            self._charge("branch")
-            if self._truthy(self._eval(expr.cond, frame)):
-                return self._eval(expr.then, frame)
-            return self._eval(expr.other, frame)
-        if kind is A.StringLit:
-            return expr.value
-        raise InterpError(f"unsupported expression {type(expr).__name__}")
-
-    def _resolve_element(self, expr: A.Index, frame: "_Frame"):
-        array = frame.lookup(expr.base.name, expr.line)
-        if not isinstance(array, CArray):
-            raise InterpError(
-                f"line {expr.line}: {expr.base.name!r} is not an array"
-            )
-        idx = []
-        for index_expr in expr.indices:
-            self._charge("addr")
-            idx.append(int(self._eval(index_expr, frame)))
-        data = array.data
-        if len(idx) > data.ndim:
-            raise InterpError(
-                f"line {expr.line}: {expr.base.name!r} has {data.ndim} dims,"
-                f" indexed with {len(idx)}"
-            )
-        for axis, i in enumerate(idx):
-            if not (0 <= i < data.shape[axis]):
-                raise InterpError(
-                    f"line {expr.line}: index {i} out of bounds for axis"
-                    f" {axis} of {expr.base.name!r} (size {data.shape[axis]})"
-                )
-        return array, tuple(idx)
-
-    def _eval_index_read(self, expr: A.Index, frame: "_Frame") -> Any:
-        array, idx = self._resolve_element(expr, frame)
-        if len(idx) < array.data.ndim:
-            # Partial indexing yields a row view (C array decay).
-            return CArray(array.data[idx], array.is_float)
-        self._charge("mem_load")
-        value = array.data[idx]
-        return float(value) if array.is_float else int(value)
-
-    def _eval_binop(self, expr: A.BinOp, frame: "_Frame") -> Any:
-        op = expr.op
-        if op == "&&":
-            self._charge("branch")
-            left = self._eval(expr.left, frame)
-            if not self._truthy(left):
-                return 0
-            return 1 if self._truthy(self._eval(expr.right, frame)) else 0
-        if op == "||":
-            self._charge("branch")
-            left = self._eval(expr.left, frame)
-            if self._truthy(left):
-                return 1
-            return 1 if self._truthy(self._eval(expr.right, frame)) else 0
-        left = self._eval(expr.left, frame)
-        right = self._eval(expr.right, frame)
-        both_int = isinstance(left, int) and isinstance(right, int)
-        if op == "+":
-            self._charge("int_op" if both_int else "fp_add")
-            return left + right
-        if op == "-":
-            self._charge("int_op" if both_int else "fp_add")
-            return left - right
-        if op == "*":
-            self._charge("int_op" if both_int else "fp_mul")
-            return left * right
-        if op == "/":
-            self._charge("int_op" if both_int else "fp_div")
-            if both_int:
-                if right == 0:
-                    raise InterpError(f"line {expr.line}: integer division by zero")
-                return -(-left // right) if (left < 0) != (right < 0) else left // right
-            if right == 0.0:
-                return math.inf if left > 0 else (-math.inf if left < 0 else math.nan)
-            return left / right
-        if op == "%":
-            self._charge("int_op")
-            if not both_int:
-                raise InterpError(f"line {expr.line}: %% requires integers")
-            if right == 0:
-                raise InterpError(f"line {expr.line}: modulo by zero")
-            return int(math.fmod(left, right))
-        if op in ("<", "<=", ">", ">=", "==", "!="):
-            self._charge("int_op")
-            result = {
-                "<": left < right, "<=": left <= right,
-                ">": left > right, ">=": left >= right,
-                "==": left == right, "!=": left != right,
-            }[op]
-            return 1 if result else 0
-        if op in ("&", "|", "^", "<<", ">>"):
-            self._charge("int_op")
-            l, r = int(left), int(right)
-            return {
-                "&": l & r, "|": l | r, "^": l ^ r,
-                "<<": l << r, ">>": l >> r,
-            }[op]
-        raise InterpError(f"unsupported operator {op!r}")
-
-    def _eval_unop(self, expr: A.UnOp, frame: "_Frame") -> Any:
-        op = expr.op
-        if op in ("++", "--"):
-            delta = 1 if op == "++" else -1
-            target = expr.operand
-            old = self._read_lvalue(target, frame)
-            self._charge("int_op" if isinstance(old, int) else "fp_add")
-            new = old + delta
-            self._write_lvalue(target, new, frame)
-            return old if expr.postfix else new
-        value = self._eval(expr.operand, frame)
-        if op == "-":
-            self._charge("int_op" if isinstance(value, int) else "fp_add")
-            return -value
-        if op == "!":
-            self._charge("int_op")
-            return 0 if self._truthy(value) else 1
-        if op == "~":
-            self._charge("int_op")
-            return ~int(value)
-        raise InterpError(f"unsupported unary {op!r}")
-
-    def _read_lvalue(self, target: A.Expr, frame: "_Frame") -> Any:
-        if isinstance(target, A.Ident):
-            self._charge("scalar_load")
-            value = frame.lookup(target.name, target.line)
-            if isinstance(value, CArray):
-                raise InterpError(
-                    f"line {target.line}: cannot use array {target.name!r}"
-                    " as a scalar"
-                )
-            return value
-        if isinstance(target, A.Index):
-            return self._eval_index_read(target, frame)
-        raise InterpError(f"line {target.line}: invalid lvalue")
-
-    def _write_lvalue(self, target: A.Expr, value: Any, frame: "_Frame") -> None:
-        if isinstance(target, A.Ident):
-            self._charge("scalar_store")
-            frame.assign(target.name, value, target.line, self._coerce)
-            return
-        if isinstance(target, A.Index):
-            array, idx = self._resolve_element(target, frame)
-            if len(idx) != array.data.ndim:
-                raise InterpError(
-                    f"line {target.line}: cannot assign to a whole row"
-                )
-            self._charge("mem_store")
-            array.data[idx] = value
-            return
-        raise InterpError(f"line {target.line}: invalid assignment target")
-
-    def _eval_assign(self, expr: A.Assign, frame: "_Frame") -> Any:
-        value = self._eval(expr.value, frame)
-        if expr.op != "=":
-            old = self._read_lvalue(expr.target, frame)
-            binop = expr.op[0]
-            both_int = isinstance(old, int) and isinstance(value, int)
-            if binop == "+":
-                self._charge("int_op" if both_int else "fp_add")
-                value = old + value
-            elif binop == "-":
-                self._charge("int_op" if both_int else "fp_add")
-                value = old - value
-            elif binop == "*":
-                self._charge("int_op" if both_int else "fp_mul")
-                value = old * value
-            elif binop == "/":
-                self._charge("int_op" if both_int else "fp_div")
-                if both_int:
-                    if value == 0:
-                        raise InterpError(f"line {expr.line}: division by zero")
-                    q = old / value
-                    value = int(q) if q >= 0 else -int(-q)
-                else:
-                    value = old / value
-            elif binop == "%":
-                self._charge("int_op")
-                value = int(math.fmod(old, value))
-        self._write_lvalue(expr.target, value, frame)
-        return value
-
-    # -- calls -------------------------------------------------------------------
-    def _eval_call(self, expr: A.Call, frame: "_Frame") -> Any:
-        name = expr.name
-        if name in self.funcs:
-            self._charge("call")
-            args = [self._eval(a, frame) for a in expr.args]
-            return self.call_function(name, args)
-        if name in BUILTINS:
-            return self._eval_builtin(expr, frame)
-        if name in COMM_APIS:
-            return self._eval_comm(expr, frame)
-        if name == "papi_block_begin":
-            self.recorder.block_begin(int(self._const_arg(expr, 0)))
-            return 0
-        if name == "papi_block_end":
-            self.recorder.block_end(int(self._const_arg(expr, 0)))
-            return 0
-        if name == "dperf_region_begin":
-            self.recorder.region(self._string_arg(expr, 0), "begin")
-            return 0
-        if name == "dperf_region_end":
-            self.recorder.region(self._string_arg(expr, 0), "end")
-            return 0
-        raise InterpError(f"line {expr.line}: unknown function {name!r}")
-
-    def _const_arg(self, expr: A.Call, i: int) -> int:
-        arg = expr.args[i]
-        if not isinstance(arg, A.IntLit):
-            raise InterpError(f"line {expr.line}: {expr.name} needs int literal")
-        return arg.value
-
-    def _string_arg(self, expr: A.Call, i: int) -> str:
-        arg = expr.args[i]
-        if not isinstance(arg, A.StringLit):
-            raise InterpError(f"line {expr.line}: {expr.name} needs a string")
-        return arg.value
-
-    def _eval_builtin(self, expr: A.Call, frame: "_Frame") -> Any:
-        name = expr.name
-        if name == "printf":
-            fmt = self._eval(expr.args[0], frame)
-            args = [self._eval(a, frame) for a in expr.args[1:]]
-            self._charge("builtin:printf")
-            self.output.append(_printf(fmt, args))
-            return 0
-        args = [self._eval(a, frame) for a in expr.args]
-        self._charge(f"builtin:{name}")
-        try:
-            if name == "fabs":
-                return abs(float(args[0]))
-            if name == "sqrt":
-                return math.sqrt(args[0])
-            if name == "exp":
-                return math.exp(args[0])
-            if name == "log":
-                return math.log(args[0])
-            if name == "pow":
-                return math.pow(args[0], args[1])
-            if name == "fmax":
-                return max(float(args[0]), float(args[1]))
-            if name == "fmin":
-                return min(float(args[0]), float(args[1]))
-            if name == "floor":
-                return math.floor(args[0])
-            if name == "ceil":
-                return math.ceil(args[0])
-            if name == "abs":
-                return abs(int(args[0]))
-        except ValueError as err:
-            raise InterpError(f"line {expr.line}: {name}: {err}") from None
-        raise InterpError(f"builtin {name!r} not implemented")  # pragma: no cover
-
-    def _eval_comm(self, expr: A.Call, frame: "_Frame") -> Any:
-        name = expr.name
-        low = name.lower()
-        if low in ("p2psap_init", "p2psap_finalize"):
-            return 0
-        if low == "p2psap_rank":
-            return self.comm.rank
-        if low == "p2psap_size":
-            return self.comm.size
-        if low in ("p2psap_barrier", "mpi_barrier"):
-            self.recorder.comm(CommRecord(api=name, kind="barrier"))
-            self.comm.barrier()
-            return 0
-        if low in ("p2psap_allreduce_max", "mpi_allreduce_max"):
-            value = float(self._eval(expr.args[0], frame))
-            self.recorder.comm(
-                CommRecord(api=name, kind="allreduce", count=1, elem_bytes=8)
-            )
-            return self.comm.allreduce_max(value)
-        if low in ("p2psap_send", "p2psap_isend", "mpi_send", "mpi_isend"):
-            dst = int(self._eval(expr.args[0], frame))
-            buf = self._array_arg(expr, 1, frame)
-            count = int(self._eval(expr.args[2], frame))
-            self._check_count(expr, buf, count)
-            kind = "isend" if "isend" in low else "send"
-            self.recorder.comm(
-                CommRecord(
-                    api=name, kind=kind, peer=dst, count=count,
-                    count_expr=expr.args[2], elem_bytes=8,
-                )
-            )
-            self.comm.data_send(dst, buf.data[:count], tag="m")
-            return 0
-        if low in ("p2psap_recv", "mpi_recv"):
-            src = int(self._eval(expr.args[0], frame))
-            buf = self._array_arg(expr, 1, frame)
-            count = int(self._eval(expr.args[2], frame))
-            self._check_count(expr, buf, count)
-            self.recorder.comm(
-                CommRecord(
-                    api=name, kind="recv", peer=src, count=count,
-                    count_expr=expr.args[2], elem_bytes=8,
-                )
-            )
-            data = self.comm.data_recv(src, count, tag="m")
-            buf.data[:count] = data
-            return 0
-        raise InterpError(f"line {expr.line}: comm API {name!r} not handled")
-
-    def _array_arg(self, expr: A.Call, i: int, frame: "_Frame") -> CArray:
-        value = self._eval(expr.args[i], frame)
-        if not isinstance(value, CArray):
-            raise InterpError(
-                f"line {expr.line}: {expr.name} argument {i} must be an array"
-            )
-        if value.data.ndim != 1:
-            raise InterpError(
-                f"line {expr.line}: {expr.name} needs a 1-D buffer "
-                "(pass a row, e.g. u[i])"
-            )
-        return value
-
-    @staticmethod
-    def _check_count(expr: A.Call, buf: CArray, count: int) -> None:
-        if count < 0 or count > len(buf.data):
-            raise InterpError(
-                f"line {expr.line}: count {count} out of range for buffer"
-                f" of {len(buf.data)}"
-            )
-
-
-class _Frame:
-    """Lexical scope chain for one function activation."""
-
-    __slots__ = ("values", "types", "parent_values", "parent_types", "_parent")
-
-    def __init__(self, values, types, parent_values=None, parent_types=None,
-                 parent: "Optional[_Frame]" = None):
-        self.values: Dict[str, Any] = values
-        self.types: Dict[str, str] = types
-        self.parent_values = parent_values
-        self.parent_types = parent_types
-        self._parent = parent
-
-    def child(self) -> "_Frame":
-        return _Frame({}, {}, self.parent_values, self.parent_types, parent=self)
-
-    def declare(self, name: str, value: Any, type_name: str) -> None:
-        self.values[name] = value
-        self.types[name] = type_name
-
-    def _find(self, name: str) -> Optional["_Frame"]:
-        frame: Optional[_Frame] = self
-        while frame is not None:
-            if name in frame.values:
-                return frame
-            frame = frame._parent
-        return None
-
-    def lookup(self, name: str, line: int) -> Any:
-        frame = self._find(name)
-        if frame is not None:
-            return frame.values[name]
-        if self.parent_values is not None and name in self.parent_values:
-            return self.parent_values[name]
-        raise InterpError(f"line {line}: undefined variable {name!r}")
-
-    def assign(self, name: str, value: Any, line: int, coerce) -> None:
-        frame = self._find(name)
-        if frame is not None:
-            frame.values[name] = coerce(value, frame.types[name])
-            return
-        if self.parent_values is not None and name in self.parent_values:
-            self.parent_values[name] = coerce(
-                value, self.parent_types.get(name, "double")
-            )
-            return
-        raise InterpError(f"line {line}: assignment to undefined {name!r}")
+            bound.append(_coerce(arg, param.type.name))
+    return bound
 
 
 def _printf(fmt: str, args: List[Any]) -> str:
     """Minimal C printf semantics for trace/debug output."""
-    out = []
     arg_iter = iter(args)
 
     def repl(match: re.Match) -> str:
@@ -796,20 +326,28 @@ def _printf(fmt: str, args: List[Any]) -> str:
             value = next(arg_iter)
         except StopIteration:
             raise InterpError("printf: not enough arguments") from None
-        if conv in "dix":
-            return (spec[:-1] + conv.replace("i", "d")) % int(value)
-        if conv in "ufgGeE":
-            pyspec = spec[:-1] + conv.replace("u", "d")
-            return pyspec % (int(value) if conv == "u" else float(value))
-        if conv == "s":
-            return spec % str(value)
-        return spec  # pragma: no cover
+        if conv in "diouxX":
+            return (spec[:-1] + conv.replace("i", "d").replace("u", "d")) \
+                % int(value)
+        if conv in "fgGeE":
+            return spec % float(value)
+        return spec % str(value)
 
     return _PRINTF_SPEC.sub(repl, fmt)
 
 
+_NAMESPACE = {
+    "np": np, "CArray": CArray, "CommRecord": CommRecord,
+    "InterpError": InterpError, "_coerce": _coerce, "_fail": _fail,
+    "_oob": _oob, "_read": _read, "_write": _write, "_scalar": _scalar,
+    "_dim": _dim, "_div": _div, "_mod": _mod, "_int_op": _int_op,
+    "_builtin": _builtin, "_buf": _buf, "_check_count": _check_count,
+    "_bind": _bind, "_printf": _printf,
+}
+
+
 # --------------------------------------------------------------------------
-# Multi-rank execution
+# Compiled programs and their execution
 # --------------------------------------------------------------------------
 
 @dataclass
@@ -824,6 +362,137 @@ class RankRun:
     block_exec_counts: Dict[int, int] = field(default_factory=dict)
 
 
+class _Runtime:
+    """Per-rank state the compiled code is bound to."""
+
+    __slots__ = ("recorder", "comm", "output", "steps", "max_steps")
+
+    def __init__(self, recorder, comm, max_steps) -> None:
+        self.recorder = recorder
+        self.comm = comm
+        self.output: List[str] = []
+        self.steps = 0
+        self.max_steps = max_steps
+
+    def step(self) -> None:
+        self.steps += 1
+        if self.steps > self.max_steps:
+            raise InterpError(f"step limit {self.max_steps} exceeded")
+
+
+class CompiledProgram:
+    """A mini-C program compiled once to Python, runnable on any number
+    of ranks.  ``source`` is the generated Python (for inspection).
+    ``count_steps`` compiles in the step ticks a ``max_steps`` limit
+    needs; only such a build accepts one."""
+
+    def __init__(self, program: A.Program,
+                 block_table: Optional[BlockTable] = None,
+                 count_steps: bool = False) -> None:
+        # imported on first use: a process that never runs mini-C does
+        # not pay for loading the translator
+        from .codegen import translate
+
+        self.source, consts, self._gens = translate(program, block_table,
+                                                    count_steps)
+        self.count_steps = count_steps
+        self._funcs = {f.name: f for f in program.funcs}
+        namespace = dict(_NAMESPACE, _K=consts)
+        exec(compile(self.source, "<minic>", "exec"), namespace)
+        self._make = namespace["_make"]
+
+    def _rank(self, runtime: _Runtime, entry: str, args: Sequence[Any]):
+        """One rank's execution, as a generator returning its value."""
+        init, funcs = self._make(runtime)
+        if inspect.isgeneratorfunction(init):
+            yield from init()
+        else:
+            init()
+        func = self._funcs.get(entry)
+        if func is None:
+            raise InterpError(f"no function {entry!r}")
+        bound = _bind(func, args)
+        if entry in self._gens:
+            value = yield from funcs[entry](*bound, None)
+        else:
+            value = funcs[entry](*bound, None)
+        return value
+
+    def _check_steps(self, max_steps: Optional[int]) -> None:
+        if (max_steps is not None) != self.count_steps:
+            raise ValueError("max_steps needs a program compiled with "
+                             "count_steps=True, and only such a program")
+
+    def run_single(self, entry: str, args: Sequence[Any] = (),
+                   max_steps: Optional[int] = None) -> RankRun:
+        """Run single-rank (rank 0 of 1, no peers)."""
+        self._check_steps(max_steps)
+        recorder = SkeletonRecorder(0)
+        runtime = _Runtime(recorder, NullComm(), max_steps)
+        try:
+            next(self._rank(runtime, entry, list(args)))
+        except StopIteration as done:
+            value = done.value
+        else:  # pragma: no cover - NullComm never blocks
+            raise InterpError("single rank blocked")
+        entries = recorder.finish()
+        return RankRun(0, entries, value, runtime.output,
+                       recorder.total_census(), recorder.block_exec_counts)
+
+    def run_distributed(
+        self, entry: str, nprocs: int,
+        args: Sequence[Any] | Callable[[int], Sequence[Any]] = (),
+        max_steps: Optional[int] = None,
+    ) -> List[RankRun]:
+        """Run ``nprocs`` ranks round-robin on this thread."""
+        if nprocs < 1:
+            raise ValueError("nprocs must be >= 1")
+        self._check_steps(max_steps)
+        net = _Network(nprocs)
+        runtimes, ranks = [], []
+        for rank in range(nprocs):
+            runtime = _Runtime(SkeletonRecorder(rank), RankComm(rank, net),
+                               max_steps)
+            rank_args = args(rank) if callable(args) else list(args)
+            runtimes.append(runtime)
+            ranks.append(self._rank(runtime, entry, rank_args))
+        values = _schedule(ranks, net)
+        runs = []
+        for rank, (runtime, value) in enumerate(zip(runtimes, values)):
+            recorder = runtime.recorder
+            entries = recorder.finish()
+            runs.append(RankRun(rank, entries, value, runtime.output,
+                                recorder.total_census(),
+                                recorder.block_exec_counts))
+        return runs
+
+
+def _schedule(ranks: List[Any], net: _Network) -> List[Any]:
+    """Round-robin: run each unfinished rank until it blocks.  Raises
+    the first rank failure, or a deadlock once no rank can proceed."""
+    values: List[Any] = [None] * len(ranks)
+    waits: Dict[int, str] = {}
+    live = list(range(len(ranks)))
+    while live:
+        progress = net.progress
+        still = []
+        for rank in live:
+            try:
+                waits[rank] = ranks[rank].send(None)
+                still.append(rank)
+            except StopIteration as done:
+                values[rank] = done.value
+                waits.pop(rank, None)
+                net.progress += 1
+            except Exception as err:  # noqa: BLE001 - reported per rank
+                raise InterpError(f"rank {rank} failed: {err}") from err
+        live = still
+        if live and net.progress == progress:
+            blocked = "; ".join(f"rank {r} blocked in {waits[r]}" for r in live)
+            raise InterpError(f"deadlock: {blocked}")
+    return values
+
+
 def run_single(
     program: A.Program,
     entry: str,
@@ -831,13 +500,9 @@ def run_single(
     block_table: Optional[BlockTable] = None,
     max_steps: Optional[int] = None,
 ) -> RankRun:
-    """Run a program single-rank (rank 0 of 1)."""
-    recorder = SkeletonRecorder(0)
-    interp = Interp(program, recorder, NullComm(), block_table, max_steps)
-    value = interp.call_function(entry, list(args))
-    entries = recorder.finish()
-    return RankRun(0, entries, value, interp.output,
-                   recorder.total_census(), recorder.block_exec_counts)
+    """Compile and run a program single-rank (rank 0 of 1)."""
+    compiled = CompiledProgram(program, block_table, max_steps is not None)
+    return compiled.run_single(entry, args, max_steps)
 
 
 def run_distributed(
@@ -847,46 +512,11 @@ def run_distributed(
     args: Sequence[Any] | Callable[[int], Sequence[Any]] = (),
     block_table: Optional[BlockTable] = None,
     max_steps: Optional[int] = None,
-    timeout: float = 300.0,
 ) -> List[RankRun]:
-    """Execute ``nprocs`` ranks (one thread each) with real messaging.
+    """Compile and run ``nprocs`` ranks with real messaging.
 
     ``args`` is either a fixed argument list or ``rank -> args``.
     Raises the first rank's error if any rank fails.
     """
-    if nprocs < 1:
-        raise ValueError("nprocs must be >= 1")
-    shared = _SharedComm(nprocs, timeout)
-    results: List[Optional[RankRun]] = [None] * nprocs
-    errors: List[Optional[BaseException]] = [None] * nprocs
-
-    def worker(rank: int) -> None:
-        recorder = SkeletonRecorder(rank)
-        comm = ThreadedComm(rank, nprocs, shared)
-        interp = Interp(program, recorder, comm, block_table, max_steps)
-        rank_args = args(rank) if callable(args) else list(args)
-        try:
-            value = interp.call_function(entry, rank_args)
-            entries = recorder.finish()
-            results[rank] = RankRun(
-                rank, entries, value, interp.output,
-                recorder.total_census(), recorder.block_exec_counts,
-            )
-        except BaseException as err:  # noqa: BLE001 - funneled to caller
-            errors[rank] = err
-            shared.barrier.abort()
-
-    threads = [
-        threading.Thread(target=worker, args=(r,), name=f"minic-rank{r}")
-        for r in range(nprocs)
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=timeout + 30.0)
-        if t.is_alive():
-            raise InterpError("distributed run did not terminate (deadlock?)")
-    for rank, err in enumerate(errors):
-        if err is not None:
-            raise InterpError(f"rank {rank} failed: {err}") from err
-    return [r for r in results if r is not None]
+    compiled = CompiledProgram(program, block_table, max_steps is not None)
+    return compiled.run_distributed(entry, nprocs, args, max_steps)

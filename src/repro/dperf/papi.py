@@ -126,8 +126,8 @@ class SkeletonRecorder:
         self._block_stack: List[int] = []
         self.block_exec_counts: Dict[int, int] = {}
         # hot path: the census dict ops are charged into right now
-        # (invariant: _active is _gap.census_for(current_block))
-        self._active: Census = self._gap.census_for(UNATTRIBUTED)
+        # (invariant: active is census_for(current_block))
+        self.active: Census = self._gap.census_for(UNATTRIBUTED)
 
     # -- block attribution --------------------------------------------------
     @property
@@ -139,7 +139,7 @@ class SkeletonRecorder:
         self.block_exec_counts[block_id] = (
             self.block_exec_counts.get(block_id, 0) + 1
         )
-        self._active = self._gap.census_for(block_id)
+        self.active = self._gap.census_for(block_id)
 
     def block_end(self, block_id: int) -> None:
         if not self._block_stack or self._block_stack[-1] != block_id:
@@ -148,21 +148,26 @@ class SkeletonRecorder:
                 f"(stack {self._block_stack})"
             )
         self._block_stack.pop()
-        self._active = self._gap.census_for(self.current_block)
+        self.active = self._gap.census_for(self.current_block)
 
     def attr_push(self, block_id: int) -> None:
         """Temporarily attribute ops to ``block_id`` (loop control);
         does not count as a block execution."""
         self._block_stack.append(block_id)
-        self._active = self._gap.census_for(block_id)
+        self.active = self._gap.census_for(block_id)
 
     def attr_pop(self) -> None:
         self._block_stack.pop()
-        self._active = self._gap.census_for(self.current_block)
+        self.active = self._gap.census_for(self.current_block)
+
+    def census_for(self, block_id: int) -> Census:
+        """The open gap's census of ``block_id`` (created if new), the
+        one ``attr_push(block_id)`` would make active."""
+        return self._gap.census_for(block_id)
 
     # -- op charging ----------------------------------------------------------
     def charge(self, category: str, n: float = 1.0) -> None:
-        active = self._active
+        active = self.active
         active[category] = active.get(category, 0.0) + n
 
     # -- events ---------------------------------------------------------------
@@ -170,7 +175,7 @@ class SkeletonRecorder:
         if not self._gap.is_empty:
             self.entries.append(self._gap)
         self._gap = ComputeGap()
-        self._active = self._gap.census_for(self.current_block)
+        self.active = self._gap.census_for(self.current_block)
 
     def comm(self, record: CommRecord) -> None:
         self._flush_gap()

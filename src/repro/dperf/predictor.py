@@ -21,7 +21,7 @@ from .blockbench import ScalePlan, materialize, scale_skeleton
 from .costmodel import REFERENCE_MACHINE, MachineModel
 from .gcc import GccModel, parse_level
 from .instrument import BlockTable, instrument
-from .interp import RankRun, run_distributed, run_single
+from .interp import CompiledProgram, RankRun
 from .minic import cast as A
 from .minic.parser import parse
 from .minic.semantics import check
@@ -81,6 +81,7 @@ class DPerfPredictor:
         # Stage 2: automatic instrumentation.
         self.instrumented, self.block_table = instrument(self.program)
         check(self.instrumented)
+        self._compiled: Optional[CompiledProgram] = None
 
     # -- artifacts -----------------------------------------------------------
     @property
@@ -94,21 +95,24 @@ class DPerfPredictor:
         nprocs: int,
         args: Sequence | Callable[[int], Sequence] = (),
         max_steps: Optional[int] = None,
-        timeout: float = 300.0,
     ) -> List[RankRun]:
-        """Run the instrumented code on ``nprocs`` ranks (calibration)."""
+        """Run the instrumented code on ``nprocs`` ranks (calibration).
+
+        The program is compiled on the first call and kept; a step
+        limit needs its own counting build, compiled for that call.
+        """
+        if max_steps is not None:
+            compiled = CompiledProgram(self.instrumented, self.block_table,
+                                       count_steps=True)
+        else:
+            if self._compiled is None:
+                self._compiled = CompiledProgram(self.instrumented,
+                                                 self.block_table)
+            compiled = self._compiled
         if nprocs == 1:
             run_args = args(0) if callable(args) else list(args)
-            return [
-                run_single(
-                    self.instrumented, self.entry, run_args,
-                    self.block_table, max_steps,
-                )
-            ]
-        return run_distributed(
-            self.instrumented, self.entry, nprocs, args,
-            self.block_table, max_steps, timeout,
-        )
+            return [compiled.run_single(self.entry, run_args, max_steps)]
+        return compiled.run_distributed(self.entry, nprocs, args, max_steps)
 
     # -- stage 4: trace generation ------------------------------------------------
     def traces_for(

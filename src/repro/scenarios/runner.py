@@ -758,8 +758,8 @@ class SweepRunner:
     cache_dir:
         Directory for the on-disk result cache (None → in-process memo
         only).  Also hosts the persistent trace cache (``traces/``
-        subdirectory) that spares every pool worker the multi-second
-        dPerf calibration cold start.
+        subdirectory) that spares every pool worker the dPerf
+        calibration cold start.
     max_workers:
         Process pool width for cache misses (None → ``os.cpu_count()``,
         capped by the number of misses; 1 forces serial in-process).

@@ -128,7 +128,7 @@ def scale_plan(app: str, nprocs: int, n: int, nit: int) -> ScalePlan:
 
 #: Directory for the persistent trace cache, or ``None`` (disabled).
 #: Trace generation is the cold-start cost every sweep worker pays
-#: (mini-C calibration ≈ seconds per (app, nprocs)); the disk cache
+#: (one mini-C calibration per (app, nprocs)); the disk cache
 #: makes it a one-time cost shared across processes, shards and — with
 #: a copied cache directory — machines.  Entries are pickles of pure
 #: deterministic data, keyed by a content hash of the full trace

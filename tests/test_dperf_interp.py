@@ -1,5 +1,8 @@
 """Interpreter correctness: semantics, accounting, multi-rank runs."""
 
+import math
+import time
+
 import pytest
 
 from repro.dperf import InterpError, run_distributed, run_single
@@ -62,6 +65,27 @@ class TestScalars:
         assert run("int g = 7; int main() { g += 1; return g; }").value == 8
 
 
+class TestCompoundAssignment:
+    """``a op= b`` shares one implementation with ``a op b``."""
+
+    def test_modulo_assign_by_zero_is_an_interp_error(self):
+        with pytest.raises(InterpError, match="modulo by zero"):
+            run("int main() { int a = 7; a %= 0; return a; }")
+
+    def test_divide_assign_by_float_zero_gives_inf(self):
+        src = "double main() { double a = 1.0; a /= 0.0; return a; }"
+        assert run(src).value == math.inf
+
+    def test_long_divide_assign_is_exact(self):
+        src = "long main() { long a = 9007199254740993; a /= 1; return a; }"
+        assert run(src).value == 9007199254740993
+
+    def test_modulo_assign_on_double_rejected(self):
+        with pytest.raises(InterpError) as err:
+            run("double main() { double a = 7.0; a %= 2; return a; }")
+        assert str(err.value) == "line 1: % requires integers"
+
+
 class TestControlFlow:
     def test_while_loop(self):
         src = "int main() { int s = 0; int i = 1; while (i <= 10) { s += i; i++; } return s; }"
@@ -100,6 +124,17 @@ class TestControlFlow:
     def test_step_limit_catches_infinite_loop(self):
         with pytest.raises(InterpError, match="step limit"):
             run("int main() { while (1) { } return 0; }", max_steps=1000)
+
+    def test_call_arguments_evaluate_left_to_right(self):
+        # the first faulting argument is the one reported, even when a
+        # later argument is itself a call
+        src = """
+        int id(int x) { return x; }
+        int f(int a, int b, int c) { return a; }
+        int main() { int a[4]; return f(a[9], a[10], id(1)); }
+        """
+        with pytest.raises(InterpError, match="index 9 out of bounds"):
+            run(src)
 
     def test_recursion(self):
         src = "int fib(int n) { if (n < 2) return n; return fib(n-1) + fib(n-2); } int main() { return fib(10); }"
@@ -189,6 +224,10 @@ class TestBuiltins:
         result = run('int main() { printf("x=%d y=%f s=%s\\n", 3, 2.5, "hi"); return 0; }')
         assert result.output == ["x=3 y=2.500000 s=hi\n"]
 
+    def test_printf_octal_and_upper_hex(self):
+        src = 'int main() { printf("%o|%X|%d", 8, 255, 3); return 0; }'
+        assert run(src).output == ["10|FF|3"]
+
     def test_printf_percent_escape(self):
         assert run('int main() { printf("100%%"); return 0; }').output == ["100%"]
 
@@ -273,7 +312,7 @@ class TestDistributed:
         }
         """
         with pytest.raises(InterpError, match="count"):
-            run_distributed(parse(src), "main", 2, timeout=10.0)
+            run_distributed(parse(src), "main", 2)
 
     def test_rank_failure_reported_not_hung(self):
         src = """
@@ -284,7 +323,29 @@ class TestDistributed:
         }
         """
         with pytest.raises(InterpError, match="rank 1|barrier"):
-            run_distributed(parse(src), "main", 2, timeout=10.0)
+            run_distributed(parse(src), "main", 2)
+
+    def test_deadlock_reported_at_once(self):
+        src = """
+        int main() {
+            double buf[1];
+            p2psap_recv(1 - p2psap_rank(), buf, 1);
+            return 0;
+        }
+        """
+        start = time.perf_counter()
+        with pytest.raises(InterpError) as err:
+            run_distributed(parse(src), "main", 2)
+        assert str(err.value) == (
+            "deadlock: rank 0 blocked in recv from 1;"
+            " rank 1 blocked in recv from 0"
+        )
+        assert time.perf_counter() - start < 1.0
+
+    def test_barrier_after_peer_finished_is_a_deadlock(self):
+        src = "int main() { if (p2psap_rank() == 0) p2psap_barrier(); return 0; }"
+        with pytest.raises(InterpError, match=r"^deadlock: rank 0 blocked in barrier$"):
+            run_distributed(parse(src), "main", 2)
 
     def test_per_rank_args_callable(self):
         src = "int main(int x) { return x * 10; }"
