@@ -1,17 +1,18 @@
-"""Work-stealing sweep fleet + the consolidated results store.
+"""Work-stealing sweep fleet + the results store.
 
 - :mod:`repro.fleet.protocol` — the shared-directory wire: atomic
   rename claims, heartbeats, retry/backoff, poison quarantine.
 - :mod:`repro.fleet.worker` — one steal-compute-persist loop.
 - :mod:`repro.fleet.dispatcher` — spawns/supervises workers, requeues
-  dead workers' points, writes the byte-identical sweep manifest and
-  is the fleet's only writer of the store.
-- :mod:`repro.fleet.store` — append-only cross-sweep result index
+  dead workers' points, writes the byte-identical sweep manifest (the
+  label's one view of its points) and is the fleet's only writer of
+  the store.
+- :mod:`repro.fleet.store` — append-only spec-hash → result log
   (``<cache>/store/index.jsonl``) with a persistent offset sidecar,
-  behind ``fleet compare --html``, ``fleet backfill`` and the serve
-  daemon's store tier.
+  behind the serve daemon's store tier.
 - :mod:`repro.fleet.telemetry` — per-worker throughput rows and
-  straggler flagging behind ``fleet stats``.
+  straggler flagging behind ``fleet stats`` and the "Fleet workers"
+  section of ``scenarios compare --format html``.
 """
 
 from .dispatcher import FleetDispatcher, FleetError, FleetOutcome

@@ -1,4 +1,4 @@
-"""Command-line front end for the sweep fleet and the results store.
+"""Command-line front end for the sweep fleet.
 
 ::
 
@@ -7,9 +7,6 @@
         --set n_peers=2,4,8 --set seed=2011,2013 --label churn-b
     python -m repro.fleet worker --fleet-dir .scenario-cache/fleet/churn-b
     python -m repro.fleet stats churn-b
-    python -m repro.fleet backfill
-    python -m repro.fleet store
-    python -m repro.fleet compare churn-a churn-b --html report.html
 
 ``run`` is the dispatcher: it expands the grid exactly like
 ``repro.scenarios sweep`` (same ``--set`` grammar, shared parser),
@@ -17,15 +14,10 @@ resolves cache hits in-process, and hands the remaining points to a
 work-stealing worker fleet — local processes it spawns, plus any
 remote ``worker`` attached to the same fleet directory over a shared
 mount.  The resulting manifest is byte-identical to an unsharded
-serial sweep of the same grid.
-
-``backfill`` absorbs pre-store sweep manifests into the consolidated
-``<cache>/store/index.jsonl`` (the other writer is ``run``'s
-finalize); ``store`` lists what the index holds; ``stats`` prints a
-live per-worker throughput view of a fleet directory with stragglers
-flagged; ``compare`` diffs two labels **from the store** (falling
-back to sweep manifests for labels never indexed) and can render a
-static HTML regression report with ``--html``.
+serial sweep of the same grid, so ``repro.scenarios compare`` diffs
+fleet and serial sweeps alike (``--format html`` adds the fleet's
+per-worker rows).  ``stats`` prints a live per-worker throughput view
+of a fleet directory with stragglers flagged.
 """
 
 from __future__ import annotations
@@ -36,13 +28,7 @@ from pathlib import Path
 from typing import Sequence
 
 from ..params import parse_grid_sets
-from ..scenarios.cli import (
-    DEFAULT_CACHE_DIR,
-    _load_manifest,
-    _parse_percentiles,
-    _UsageError,
-)
-from ..scenarios.manifest import sweeps_dir
+from ..scenarios.cli import DEFAULT_CACHE_DIR, _UsageError
 from ..scenarios.registry import get_scenario
 from ..scenarios.runner import expand_grid
 from .dispatcher import FleetDispatcher, FleetError, FleetOutcome
@@ -52,7 +38,6 @@ from .protocol import (
     DEFAULT_MAX_RETRIES,
     HEARTBEAT_INTERVAL,
 )
-from .store import ResultStore
 from .telemetry import fleet_stats, format_stats
 from .worker import FleetWorker
 
@@ -133,32 +118,6 @@ def cmd_worker(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_backfill(args: argparse.Namespace) -> int:
-    store = ResultStore(args.cache_dir)
-    stats = store.backfill(sweeps_dir(args.cache_dir))
-    print(f"# backfill: {stats['points']} points indexed from "
-          f"{stats['absorbed']} manifests "
-          f"({stats['already_indexed']} already indexed, "
-          f"{stats['skipped_manifests']} skipped, "
-          f"{store.skipped} duplicate points)")
-    print(f"# store: {len(store)} records at {store.index_path}")
-    return 0
-
-
-def cmd_store(args: argparse.Namespace) -> int:
-    store = ResultStore(args.cache_dir)
-    labels = store.labels()
-    if not labels:
-        print(f"# store is empty ({store.index_path}); run a fleet or "
-              f"`python -m repro.fleet backfill`")
-        return 0
-    width = max(len(label) for label in labels)
-    for label in sorted(labels):
-        print(f"{label:<{width}}  {labels[label]:>5} pt")
-    print(f"# {len(store)} records at {store.index_path}")
-    return 0
-
-
 def cmd_stats(args: argparse.Namespace) -> int:
     from .protocol import FleetDirs
 
@@ -170,66 +129,12 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_data(ref: str, store: ResultStore, cache_dir: str):
-    """A label's points — store-first, manifests as the fallback."""
-    from ..analysis import SweepData
-
-    points = store.sweep_points(ref)
-    if points:
-        return SweepData(label=ref, points=points)
-    return SweepData.from_manifest(_load_manifest(ref, cache_dir))
-
-
-def _html_worker_stats(label: str, cache_dir: str):
-    """Worker throughput rows for the HTML report's stragglers
-    section — from the candidate label's fleet directory, when one
-    exists and has heartbeats."""
-    from .protocol import FleetDirs
-    from .telemetry import worker_stats
-
-    fleet_dir = Path(cache_dir) / "fleet" / label
-    if not fleet_dir.is_dir():
-        return None
-    stats = worker_stats(FleetDirs(fleet_dir))
-    return [s.to_dict() for s in stats] or None
-
-
-def cmd_compare(args: argparse.Namespace) -> int:
-    from ..analysis import compare_sweeps
-
-    store = ResultStore(args.cache_dir)
-    a = _sweep_data(args.a, store, args.cache_dir)
-    b = _sweep_data(args.b, store, args.cache_dir)
-    try:
-        comparison = compare_sweeps(
-            a, b, metric=args.metric, over=tuple(args.over or ()),
-            percentiles=_parse_percentiles(args.percentiles))
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-    if args.html:
-        # worker rows come from the candidate label's fleet dir,
-        # falling back to the baseline's (whichever was fleet-run)
-        stats = _html_worker_stats(args.b, args.cache_dir) \
-            or _html_worker_stats(args.a, args.cache_dir)
-        Path(args.html).write_text(comparison.to_html(worker_stats=stats))
-        print(f"# HTML report written to {args.html}")
-        return 0
-    text = (comparison.to_json() if args.format == "json"
-            else comparison.to_markdown())
-    if args.out:
-        Path(args.out).write_text(text)
-        print(f"# report written to {args.out}")
-    else:
-        print(text, end="")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The ``repro.fleet`` argument parser."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.fleet",
         description="Work-stealing sweep fleet over the shared "
-                    "result cache, plus the consolidated results store.",
+                    "result cache.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -246,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="grid values for one (dotted) spec field; "
                           "repeatable — same grammar as scenarios sweep")
     run.add_argument("--label", default=None,
-                     help="sweep/store label (default: the scenario name)")
+                     help="sweep label (default: the scenario name)")
     run.add_argument("--workers", type=int, default=2,
                      help="local worker processes to spawn (default 2; "
                           "0 = remote workers only)")
@@ -279,49 +184,12 @@ def build_parser() -> argparse.ArgumentParser:
                         default=HEARTBEAT_INTERVAL)
     worker.add_argument("--poll-interval", type=float, default=0.1)
 
-    backfill = sub.add_parser(
-        "backfill",
-        help="absorb historical sweep manifests into the store index",
-    )
-    add_cache_dir(backfill)
-
-    store = sub.add_parser(
-        "store", help="list the consolidated store's labels"
-    )
-    add_cache_dir(store)
-
     stats = sub.add_parser(
         "stats", help="per-worker throughput for a fleet directory, "
                       "stragglers flagged"
     )
     stats.add_argument("label", help="fleet label (<cache>/fleet/<label>)")
     add_cache_dir(stats)
-
-    compare = sub.add_parser(
-        "compare",
-        help="diff two labels from the consolidated store",
-    )
-    compare.add_argument("a", help="store label, sweep label, or "
-                                   "manifest path (baseline)")
-    compare.add_argument("b", help="store label, sweep label, or "
-                                   "manifest path")
-    compare.add_argument("--metric", default="t",
-                         help="result field or metric to compare "
-                              "(default: t)")
-    compare.add_argument("--over", action="append", metavar="AXIS",
-                         help="aggregate over this shared grid axis "
-                              "instead of matching on it (repeatable)")
-    compare.add_argument("--percentiles", default=None,
-                         metavar="P1,P2,...",
-                         help="add per-side percentile columns")
-    compare.add_argument("--format", choices=("markdown", "json"),
-                         default="markdown", help="text report format")
-    compare.add_argument("--out", default=None,
-                         help="write the text report to a file")
-    compare.add_argument("--html", default=None, metavar="PATH",
-                         help="write a static HTML regression report "
-                              "instead of the text formats")
-    add_cache_dir(compare)
     return parser
 
 
@@ -331,10 +199,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     handler = {
         "run": cmd_run,
         "worker": cmd_worker,
-        "backfill": cmd_backfill,
-        "store": cmd_store,
         "stats": cmd_stats,
-        "compare": cmd_compare,
     }[args.command]
     try:
         return handler(args)

@@ -15,9 +15,10 @@ filesystem; the fleet needs a shared mount.)
 The output contract is the sweep's: the dispatcher writes a sweep
 manifest through the shared canonical serializer, **byte-identical**
 to the manifest an unsharded serial sweep of the same grid produces
-(pinned by ``tests/test_fleet.py``), and records every result in the
-consolidated :class:`~repro.fleet.store.ResultStore` — the fleet's
-only store writer; workers never open it.  If any point
+(pinned by ``tests/test_fleet.py``), and appends every result to
+the :class:`~repro.fleet.store.ResultStore` log the serve daemon
+reads — the fleet's only store writer; workers never open it.  The
+manifest is the label's one view of its points.  If any point
 was quarantined the manifest is marked ``"partial": true`` — the same
 refuse-to-compare semantics a killed sweep has.
 
@@ -78,7 +79,6 @@ class FleetOutcome:
     worker_stats: List[Dict[str, Any]] = field(default_factory=list)
     cached: int = 0
     computed: int = 0
-    store_records: int = 0
     wall: float = 0.0
 
     @property
@@ -378,7 +378,6 @@ class FleetDispatcher:
     ) -> FleetOutcome:
         points = []
         worker_points: Dict[str, int] = {}
-        store_records = 0
         for i in range(len(self.specs)):
             record = done.get(i)
             if record is None:
@@ -390,12 +389,9 @@ class FleetDispatcher:
                 worker_points.get(record["worker"], 0) + 1
             # the fleet's one store write per point, after the workers
             # exited; dedup'd, so a resumed fleet re-lands nothing
-            if store.record_raw({
-                "spec_hash": record["spec_hash"],
-                "name": record["name"], "label": self.label,
-                "scenario": self.scenario, "result": record["result"],
-            }):
-                store_records += 1
+            store.record(self.specs[i],
+                         ScenarioResult.from_dict(record["result"]),
+                         self.label, self.scenario)
         payload = sweep_manifest.manifest_payload(
             self.label, self.scenario, points
         )
@@ -418,5 +414,4 @@ class FleetDispatcher:
             # points resolved by workers *this run* (resumed and
             # cache-hit points count as cached, poison as neither)
             computed=max(0, len(points) - cached),
-            store_records=store_records,
         )

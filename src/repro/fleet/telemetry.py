@@ -11,7 +11,7 @@ turns a fleet directory's heartbeats into one ranked view:
 - ``python -m repro.fleet stats <label>`` while the fleet runs;
 - the dispatcher's end-of-run outcome (``FleetOutcome.worker_stats``);
 - the stragglers section of the HTML report
-  (``fleet compare --html``).
+  (``scenarios compare --format html``).
 
 A worker is flagged a **straggler** when its throughput falls below
 ``STRAGGLER_RATIO`` × the fleet median (only judged across ≥2 workers

@@ -7,8 +7,8 @@ atomic rename protocol, and runs it through the exact same
 :class:`~repro.scenarios.runner.ResultCache` *before* the point is
 marked done, and a worker killed between the two leaves an idempotent
 rerun, never a lost or duplicated result.  Workers never write the
-consolidated :class:`~repro.fleet.store.ResultStore`: the
-dispatcher's finalize indexes every resolved point, once.
+:class:`~repro.fleet.store.ResultStore` log: the dispatcher's
+finalize records every resolved point, once.
 
 A heartbeat thread keeps the worker's liveness file fresh while a
 point computes; a compute that *raises* (as opposed to a scenario

@@ -65,11 +65,10 @@ def write_platform_xml(spec: PlatformSpec) -> str:
         else:
             ET.SubElement(root, "router", {"id": node.name})
     seen = set()
-    for u, v, data in spec.topology.graph.edges(data=True):
+    for u, v, link in spec.topology.edges():
         if (v, u) in seen:
             continue  # emitted as duplex already
-        link = data["link"]
-        duplex = spec.topology.graph.has_edge(v, u)
+        duplex = spec.topology.has_edge(v, u)
         seen.add((u, v))
         ET.SubElement(
             root,

@@ -22,9 +22,10 @@ killed sweep leaves a ``"partial": true`` manifest of what finished,
 and because workers cache each result on completion, the rerun
 resumes instead of recomputing.  ``compare`` diffs two
 manifests — by label in the cache directory, or by explicit path —
-and renders a markdown (default) or JSON report; ``--over AXIS``
-aggregates over a shared axis (e.g. seeds) instead of matching on
-it::
+and renders a markdown (default), JSON or static HTML report (the
+HTML one adds a "Fleet workers" section when either label was run by
+``repro.fleet``); ``--over AXIS`` aggregates over a shared axis
+(e.g. seeds) instead of matching on it::
 
     python -m repro.scenarios compare churn-base churn-grid
     python -m repro.scenarios compare a b --format json --out diff.json
@@ -330,6 +331,20 @@ def _parse_percentiles(text: Optional[str]) -> Tuple[float, ...]:
         ) from None
 
 
+def _html_worker_stats(label: str, cache_dir: str):
+    """Worker throughput rows for the HTML report's stragglers
+    section — from the label's fleet directory, when one exists and
+    has heartbeats."""
+    from ..fleet.protocol import FleetDirs
+    from ..fleet.telemetry import worker_stats
+
+    fleet_dir = Path(cache_dir) / "fleet" / label
+    if not fleet_dir.is_dir():
+        return None
+    stats = worker_stats(FleetDirs(fleet_dir))
+    return [s.to_dict() for s in stats] or None
+
+
 def cmd_compare(args: argparse.Namespace) -> int:
     from ..analysis import SweepData, compare_sweeps
 
@@ -342,7 +357,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     if args.format == "html":
-        text = comparison.to_html()
+        # worker rows come from the candidate label's fleet dir,
+        # falling back to the baseline's (whichever was fleet-run)
+        text = comparison.to_html(
+            worker_stats=_html_worker_stats(args.b, args.cache_dir)
+            or _html_worker_stats(args.a, args.cache_dir))
     elif args.format == "json":
         text = comparison.to_json()
     else:

@@ -474,48 +474,6 @@ def atomic_write_text(path: os.PathLike | str, text: str) -> None:
     atomic_write_bytes(path, text.encode())
 
 
-class ReadGuard:
-    """The read-error discipline of every durable cache tier.
-
-    A *missing file* is a legitimate miss.  An *environmental* read
-    error (permissions, I/O failure, a directory where a file should
-    be) is not: silently recomputing would mask a broken cache
-    forever.  Those bump ``errors``, log the path once, and the
-    **second consecutive** failure of the same path re-raises — one
-    transient blip recovers, a persistent fault surfaces.  Shared by
-    :class:`JsonCache` and the pickled trace cache of
-    :mod:`~repro.scenarios.workloads`.
-    """
-
-    def __init__(self) -> None:
-        self.errors = 0
-        self._failures: Dict[str, int] = {}
-        self._logged: set = set()
-
-    def read(self, path: Path, reader: Any) -> Any:
-        """``reader(path)``, or None for a missing file or a tolerated
-        environmental error (see the class doc)."""
-        key = str(path)
-        try:
-            value = reader(path)
-        except FileNotFoundError:
-            value = None
-        except OSError as exc:
-            self.errors += 1
-            failures = self._failures[key] = self._failures.get(key, 0) + 1
-            if key not in self._logged:
-                self._logged.add(key)
-                _LOG.warning(
-                    "cache read failed for %s (%s); treating as a miss",
-                    path, exc,
-                )
-            if failures >= 2:
-                raise
-            return None
-        self._failures.pop(key, None)
-        return value
-
-
 def union_dir(src: os.PathLike | str, dst: os.PathLike | str,
               pattern: str) -> int:
     """Copy every ``pattern`` file of ``src`` that ``dst`` lacks.
@@ -544,10 +502,12 @@ class JsonCache:
     entry.
 
     The shared substrate of every durable cache tier in the stack —
-    scenario results here, SLO answers in ``repro.serve`` — factored
-    so each tier inherits the same contract: atomic writes (tempfile +
-    ``os.replace``, so concurrent readers never see a truncated
-    entry), torn-entry-reads-as-miss, and union-by-file-copy merging.
+    scenario results here, dPerf traces in
+    :mod:`~repro.scenarios.workloads`, SLO answers in ``repro.serve``
+    — factored so each tier inherits the same contract: atomic writes
+    (tempfile + ``os.replace``, so concurrent readers never see a
+    truncated entry), torn-entry-reads-as-miss, and union-by-file-copy
+    merging.
     The directory is opened (and created) exactly once, at
     construction; ``disk_reads``/``disk_writes`` count every
     filesystem touch afterwards, which is what lets the serve tier
@@ -555,8 +515,12 @@ class JsonCache:
 
     Read-error semantics: a missing file and a *torn entry*
     (interrupted ``os.replace``, half-written JSON) are legitimate
-    misses; environmental read errors follow :class:`ReadGuard` and
-    are counted in ``cache_read_errors``.
+    misses.  An *environmental* read error (permissions, I/O failure,
+    a directory where a file should be) is not: silently recomputing
+    would mask a broken cache forever.  Those bump
+    ``cache_read_errors``, log the path once, and the **second
+    consecutive** failure of the same entry re-raises — one transient
+    blip recovers, a persistent fault surfaces.
     """
 
     def __init__(self, root: os.PathLike | str) -> None:
@@ -564,12 +528,10 @@ class JsonCache:
         self.root.mkdir(parents=True, exist_ok=True)
         self.disk_reads = 0
         self.disk_writes = 0
-        self._reads = ReadGuard()
-
-    @property
-    def cache_read_errors(self) -> int:
-        """Environmental read errors seen so far (see the class doc)."""
-        return self._reads.errors
+        #: Environmental read errors seen so far (see the class doc).
+        self.cache_read_errors = 0
+        self._failures: Dict[str, int] = {}
+        self._logged: set = set()
 
     def _path(self, key: str) -> Path:
         return self.root / f"{key}.json"
@@ -580,9 +542,24 @@ class JsonCache:
         persistent environmental error re-raises — see the class doc).
         """
         self.disk_reads += 1
-        text = self._reads.read(self._path(key), Path.read_text)
-        if text is None:
+        path = self._path(key)
+        try:
+            text = path.read_text()
+        except FileNotFoundError:
             return None
+        except OSError as exc:
+            self.cache_read_errors += 1
+            failures = self._failures[key] = self._failures.get(key, 0) + 1
+            if key not in self._logged:
+                self._logged.add(key)
+                _LOG.warning(
+                    "cache read failed for %s (%s); treating as a miss",
+                    path, exc,
+                )
+            if failures >= 2:
+                raise
+            return None
+        self._failures.pop(key, None)
         try:
             payload = json.loads(text)
         except ValueError:
@@ -847,8 +824,7 @@ class SweepRunner:
         this runner's cache (needs a ``cache_dir``; see
         :func:`union_dir`); the points it holds are then served as
         cache hits.  Returns the results copied."""
-        union_dir(Path(source) / "traces", self.trace_cache_dir,
-                  "*.trace.pkl")
+        union_dir(Path(source) / "traces", self.trace_cache_dir, "*.json")
         return self.cache.absorb(source)
 
     # -- internals ---------------------------------------------------------

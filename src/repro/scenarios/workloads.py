@@ -15,11 +15,9 @@ from __future__ import annotations
 
 import hashlib
 import os
-import pickle
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 from .. import __version__ as _ENGINE_VERSION
 from ..apps import heat, obstacle
@@ -27,7 +25,8 @@ from ..dperf import DPerfPredictor, ScalePlan
 from ..p2pdc import WorkloadSpec
 from ..p2psap import Scheme
 from ..platforms.cluster import DEFAULT_NODE_SPEED
-from .runner import ReadGuard, atomic_write_bytes
+from ..simx.tracefile import dump_trace, load_trace
+from .runner import JsonCache
 from .spec import ScenarioSpec, WorkloadPlan
 
 #: Calibration instance size dPerf actually interprets.
@@ -126,59 +125,33 @@ def scale_plan(app: str, nprocs: int, n: int, nit: int) -> ScalePlan:
 # the on-disk trace cache (collaborative profiling-run reuse)
 # ---------------------------------------------------------------------------
 
-#: Directory for the persistent trace cache, or ``None`` (disabled).
-#: Trace generation is the cold-start cost every sweep worker pays
-#: (one mini-C calibration per (app, nprocs)); the disk cache
-#: makes it a one-time cost shared across processes, shards and — with
-#: a copied cache directory — machines.  Entries are pickles of pure
-#: deterministic data, keyed by a content hash of the full trace
-#: recipe, so a shared directory is safe to union by file copy.
-_TRACE_CACHE_DIR: Optional[Path] = (
-    Path(os.environ["REPRO_TRACE_CACHE"])
-    if os.environ.get("REPRO_TRACE_CACHE") else None
-)
+#: The persistent trace cache, or ``None`` (disabled).  Trace
+#: generation is the cold-start cost every sweep worker pays (one
+#: mini-C calibration per (app, nprocs)); the disk cache makes it a
+#: one-time cost shared across processes, shards and — with a copied
+#: cache directory — machines.  Each entry is a :class:`JsonCache`
+#: file holding its recipe and every rank's trace in the
+#: ``# dperf-trace v1`` text format, keyed by a content hash of the
+#: recipe, so a shared directory is safe to union by file copy and
+#: reading one runs no code.
+_TRACE_CACHE: Optional[JsonCache] = None
 
 
 def set_trace_cache_dir(path: Optional[os.PathLike | str]) -> None:
     """Point the persistent trace cache at ``path`` (None disables)."""
-    global _TRACE_CACHE_DIR
-    _TRACE_CACHE_DIR = Path(path) if path is not None else None
+    global _TRACE_CACHE
+    _TRACE_CACHE = JsonCache(path) if path is not None else None
 
 
-def _trace_key(app: str, nprocs: int, level: str, n: int, nit: int) -> str:
-    blob = f"{_ENGINE_VERSION}:{app}:{nprocs}:{level}:{n}:{nit}"
+def _trace_recipe(app: str, nprocs: int, level: str, n: int,
+                  nit: int) -> dict:
+    return {"engine": _ENGINE_VERSION, "app": app, "nprocs": nprocs,
+            "level": level, "n": n, "nit": nit}
+
+
+def _trace_key(recipe: dict) -> str:
+    blob = "{engine}:{app}:{nprocs}:{level}:{n}:{nit}".format(**recipe)
     return hashlib.sha256(blob.encode()).hexdigest()[:24]
-
-
-#: The trace cache's read-error discipline — ``JsonCache``'s, shared:
-#: a missing file is a miss, a persistent environmental error surfaces.
-_TRACE_READS = ReadGuard()
-
-
-def _trace_cache_load(key: str):
-    if _TRACE_CACHE_DIR is None:
-        return None
-    blob = _TRACE_READS.read(_TRACE_CACHE_DIR / f"{key}.trace.pkl",
-                             Path.read_bytes)
-    if blob is None:
-        return None
-    try:
-        return pickle.loads(blob)
-    except (pickle.PickleError, EOFError, AttributeError, ImportError):
-        return None  # torn or stale entry: recompute below
-
-
-def _trace_cache_store(key: str, value) -> None:
-    if _TRACE_CACHE_DIR is None:
-        return
-    try:
-        _TRACE_CACHE_DIR.mkdir(parents=True, exist_ok=True)
-        atomic_write_bytes(
-            _TRACE_CACHE_DIR / f"{key}.trace.pkl",
-            pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL),
-        )
-    except OSError:
-        pass  # cache is best-effort; the computed value is still used
 
 
 @lru_cache(maxsize=256)
@@ -187,18 +160,29 @@ def traces(app: str, nprocs: int, level: str, n: int, nit: int):
 
     Served (in order) from the in-process memo, the persistent trace
     cache, or a fresh calibration + scale-up (which then populates
-    both).
+    both).  A cache entry whose recipe differs from the request, or
+    that does not decode, is a miss.
     """
-    key = _trace_key(app, nprocs, level, n, nit)
-    cached = _trace_cache_load(key)
-    if cached is not None:
-        return cached
+    recipe = _trace_recipe(app, nprocs, level, n, nit)
+    key = _trace_key(recipe)
+    cache = _TRACE_CACHE
+    payload = cache.load(key) if cache is not None else None
+    if payload is not None and payload.get("recipe") == recipe:
+        try:
+            return [load_trace(text) for text in payload["ranks"]]
+        except (KeyError, TypeError, ValueError, AttributeError):
+            pass  # torn or foreign entry: recompute below
     out = predictor(app).traces_for(
         calibration_runs(app, nprocs), level,
         scale=scale_plan(app, nprocs, n, nit),
         app=app, extra_meta={"n": str(n), "nit": str(nit)},
     )
-    _trace_cache_store(key, out)
+    if cache is not None:
+        try:
+            cache.store(key, {"recipe": recipe,
+                              "ranks": [dump_trace(t) for t in out]})
+        except OSError:
+            pass  # cache is best-effort; the computed value is still used
     return out
 
 
@@ -206,7 +190,7 @@ def prime_traces(specs: Sequence[ScenarioSpec],
                  trace_cache_dir: Optional[os.PathLike | str]) -> None:
     """Generate every distinct trace recipe of ``specs`` once, into the
     persistent trace cache at ``trace_cache_dir``, so worker processes
-    load pickles instead of re-running the dPerf calibration."""
+    load trace files instead of re-running the dPerf calibration."""
     set_trace_cache_dir(trace_cache_dir)
     recipes = dict.fromkeys(
         (s.workload.app, s.n_peers, s.workload.level, s.workload.n,

@@ -2,7 +2,8 @@
 
 :class:`QueryEngine` is the serving tier's in-process core: it opens
 every durable store **once, at startup** — the scenario
-:class:`~repro.scenarios.runner.ResultCache`, the on-disk
+:class:`~repro.scenarios.runner.ResultCache`, the fleet's
+:class:`~repro.fleet.store.ResultStore` log, the on-disk
 :class:`AnswerCache` tier, and the persistent dPerf trace cache — and
 then answers queries through a three-level resolution:
 
@@ -13,8 +14,8 @@ then answers queries through a three-level resolution:
    query hash): survives restarts, so a killed daemon re-answers its
    whole history without re-simulating anything.
 3. **Compute**: the seed pool's reference scenarios, each resolved
-   through the scenario memo → result cache → simulation, every level
-   counted.
+   through the scenario memo → result cache → result store →
+   simulation, every level counted.
 
 Cold computes are serialized behind one lock: the scenario runner's
 shared per-process state (deployment templates, route-intern stores)
@@ -152,9 +153,8 @@ class QueryEngine:
             self.answer_cache: Optional[AnswerCache] = AnswerCache(
                 root / "answers"
             )
-            # the consolidated cross-sweep index: results computed by
-            # any fleet — or `fleet backfill`ed from any historical
-            # manifest — resolve here without re-simulating
+            # the store's spec-hash → result log: results computed
+            # by any fleet resolve here without re-simulating
             self.result_store: Optional[ResultStore] = ResultStore(root)
             workloads.set_trace_cache_dir(root / "traces")
         else:

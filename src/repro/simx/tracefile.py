@@ -47,6 +47,9 @@ def load_trace(text: str) -> Trace:
     app = "app"
     meta: dict = {}
     events = []
+    # a scaled trace repeats a few hundred distinct lines hundreds of
+    # thousands of times; events are frozen, so each line decodes once
+    decoded: dict = {}
     for line in lines[1:]:
         line = line.strip()
         if not line:
@@ -65,7 +68,10 @@ def load_trace(text: str) -> Trace:
                 key, rest = parts[1], parts[2]
                 meta[key] = rest
             continue
-        events.append(decode_event(line))
+        event = decoded.get(line)
+        if event is None:
+            event = decoded[line] = decode_event(line)
+        events.append(event)
     if rank is None or nprocs is None:
         raise ValueError("trace file missing rank/nprocs header")
     return Trace(rank=rank, nprocs=nprocs, events=events, app=app, meta=meta)

@@ -54,3 +54,22 @@ def test_version_string():
     import repro
 
     assert repro.__version__.count(".") == 2
+
+
+def test_runtime_import_leaves_networkx_out():
+    """networkx is only the route tests' reference: importing the
+    engine (what every fleet worker and CLI run pays) must not load
+    it."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    code = ("import sys, repro.scenarios, repro.fleet, repro.serve; "
+            "assert 'networkx' not in sys.modules, 'networkx imported'")
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)

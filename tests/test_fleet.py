@@ -1,12 +1,12 @@
-"""The work-stealing fleet and the consolidated results store.
+"""The work-stealing fleet and the results store.
 
 Contracts pinned here:
 
 - **claims are exclusive** — the atomic-rename steal has exactly one
   winner per point;
-- **store appends are deduplicated and torn-tolerant** — one record
-  per (label, spec hash), readers skip a killed writer's trailing
-  line, ``backfill`` absorbs only complete non-shard manifests;
+- **store appends are deduplicated and torn-tolerant** — one line per
+  spec hash whatever label records it, readers skip a killed writer's
+  trailing line;
 - **byte-identity** — a fleet run's manifest is byte-for-byte the
   manifest a serial unsharded sweep writes;
 - **fault paths** — a worker SIGKILLed mid-point is detected and its
@@ -41,7 +41,7 @@ from repro.fleet.cli import main as fleet_main
 from repro.fleet.telemetry import WorkerStat, flag_stragglers
 from repro.scenarios import SCENARIOS, expand_grid, run_scenario, workloads
 from repro.scenarios.cli import main as scenarios_main
-from repro.scenarios.runner import ResultCache, clear_memo
+from repro.scenarios.runner import ResultCache, ScenarioResult, clear_memo
 from repro.scenarios.spec import PlatformPlan, ScenarioSpec
 
 #: The cheap all-deploy grid of test_sharding.py: 12 points, each only
@@ -112,19 +112,29 @@ def _persist_full_sidecar(cache, pairs):
     return rebuilt
 
 
-# -- the consolidated store ---------------------------------------------------
+# -- the results store -------------------------------------------------------
 
 class TestResultStore:
-    def test_record_dedups_on_label_and_hash(self, tmp_path):
+    def test_record_dedups_on_hash(self, tmp_path):
         store = ResultStore(tmp_path)
         spec, result = _probe_result()
         assert store.record(spec, result, "a", SCENARIO) is True
         assert store.record(spec, result, "a", SCENARIO) is False
-        # same hash under a different label is a distinct record
-        assert store.record(spec, result, "b", SCENARIO) is True
-        assert len(store) == 2
-        assert store.labels() == {"a": 1, "b": 1}
-        assert store.skipped == 1
+        assert len(store) == 1
+
+    def test_same_hash_under_two_labels_appends_one_line(self, tmp_path):
+        """The label is provenance, not part of the key: a second
+        label recording a logged hash appends nothing."""
+        spec, result = _probe_result()
+        store = ResultStore(tmp_path)
+        assert store.record(spec, result, "a", SCENARIO) is True
+        assert store.record(spec, result, "b", "other") is False
+        assert ResultStore(tmp_path).record(spec, result, "c",
+                                            SCENARIO) is False
+        lines = store.index_path.read_text().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["label"] == "a"
+        assert len(ResultStore(tmp_path)) == 1
 
     def test_dedup_survives_reopening(self, tmp_path):
         spec, result = _probe_result()
@@ -139,30 +149,34 @@ class TestResultStore:
         store.record(spec, result, "a", SCENARIO)
         with open(store.index_path, "a") as fh:
             fh.write('{"label": "a", "spec_hash": "beef", "trunc')
-        entries = list(ResultStore(tmp_path).entries())
-        assert len(entries) == 1
-        assert entries[0]["label"] == "a"
+        fresh = ResultStore(tmp_path)
+        assert [e["spec_hash"] for e in fresh.entries()] \
+            == [result.spec_hash]
+        assert len(fresh) == 1
+        assert fresh.get_result("beef") is None
+        assert fresh.get_result(result.spec_hash).canonical_json() \
+            == result.canonical_json()
 
-    def test_sweep_points_dedups_per_hash_newest_wins(self, tmp_path):
+    def test_duplicate_hash_lines_newest_wins(self, tmp_path):
         spec, result = _probe_result()
-        old = dict(name=spec.name, spec_hash=result.spec_hash,
-                   label="a", scenario=SCENARIO,
-                   result=dict(result.to_dict(), t=1.0))
-        new = dict(old, result=dict(result.to_dict(), t=2.0))
-        # two appends of the same (label, hash) — the double-index a
-        # reassignment race could produce; the second lands as a raw
-        # duplicate line, past any single instance's dedup
+        # two lines of one hash — what two processes recording it in
+        # the same refresh→write window produce; the second lands as
+        # a raw duplicate line, past any single instance's dedup
         store = ResultStore(tmp_path)
-        store.record_raw(old)
-        _append_line(store, new)
-        points = ResultStore(tmp_path).sweep_points("a")
-        assert len(points) == 1
-        assert points[0]["result"]["t"] == 2.0
+        store.record(spec, ScenarioResult.from_dict(
+            dict(result.to_dict(), t=1.0)), "a", SCENARIO)
+        _append_line(store, {
+            "spec_hash": result.spec_hash, "name": spec.name,
+            "label": "b", "scenario": SCENARIO,
+            "result": dict(result.to_dict(), t=2.0),
+        })
+        assert ResultStore(tmp_path).get_result(result.spec_hash).t == 2.0
+        assert store.get_result(result.spec_hash).t == 2.0
 
-    def test_len_and_labels_dedup_duplicate_lines(self, tmp_path):
+    def test_len_dedups_duplicate_lines(self, tmp_path):
         """Accounting must match what readers actually return: a
         duplicate physical line from a concurrent writer counts
-        once in ``len``/``labels``, like it reads once."""
+        once in ``len``, like it reads once."""
         spec, result = _probe_result()
         store = ResultStore(tmp_path)
         store.record(spec, result, "a", SCENARIO)
@@ -211,8 +225,29 @@ class TestResultStore:
         for _spec, result in pairs:
             assert fresh.get_result(result.spec_hash).canonical_json() \
                 == result.canonical_json()
-        assert fresh.labels() == {"a": 2}
+        assert len(fresh) == 2
         assert fresh.sidecar_rebuilds == 0
+
+    def test_parent_format_sidecar_with_label_keys_is_adopted(
+            self, tmp_path):
+        """A sidecar written before the per-label key sets were
+        dropped still carries ``keys``; it is adopted with that field
+        ignored (no rebuild), and the next persist drops it."""
+        pairs = [_probe_result(seed=s) for s in (1, 2)]
+        store = _persist_full_sidecar(tmp_path, pairs)
+        payload = json.loads(store.offsets_path.read_text())
+        assert "keys" not in payload
+        payload["keys"] = {"a": sorted(r.spec_hash for _s, r in pairs),
+                           "gone": ["not-a-logged-hash"]}
+        store.offsets_path.write_text(json.dumps(payload))
+        fresh = ResultStore(tmp_path)
+        assert len(fresh) == 2
+        for _spec, result in pairs:
+            assert fresh.get_result(result.spec_hash).canonical_json() \
+                == result.canonical_json()
+        assert fresh.get_result("not-a-logged-hash") is None
+        assert fresh.sidecar_rebuilds == 0
+        assert fresh.sidecar_tail_refreshes == 0
 
     def test_torn_sidecar_is_rebuilt_from_the_index(self, tmp_path):
         spec, result = _probe_result()
@@ -256,7 +291,7 @@ class TestResultStore:
         ResultStore(tmp_path).record(s2, r2, "b", SCENARIO)
         assert reader.get_result(r2.spec_hash).canonical_json() \
             == r2.canonical_json()
-        assert reader.labels() == {"a": 1, "b": 1}
+        assert len(reader) == 2
         assert reader.sidecar_rebuilds == rebuilds
         assert reader.sidecar_tail_refreshes == tails + 1
 
@@ -283,41 +318,7 @@ class TestResultStore:
             assert reader.get_result(result.spec_hash).canonical_json() \
                 == result.canonical_json()
         assert reader.sidecar_rebuilds > rebuilds
-        assert reader.labels() == {"a": 3}
-
-    def test_backfill_absorbs_only_complete_sweeps(self, tmp_path):
-        sweeps = tmp_path / "sweeps"
-        sweeps.mkdir()
-        spec, result = _probe_result()
-        point = {"name": spec.name, "spec_hash": result.spec_hash,
-                 "result": result.to_dict()}
-        (sweeps / "good.json").write_text(json.dumps(
-            {"label": "good", "scenario": SCENARIO, "points": [point]}
-        ))
-        (sweeps / "killed.json").write_text(json.dumps(
-            {"label": "killed", "scenario": SCENARIO,
-             "points": [point], "partial": True}
-        ))
-        (sweeps / "g.shard0of2.json").write_text(json.dumps(
-            {"label": "g", "scenario": SCENARIO, "points": [point],
-             "shard": {"index": 0, "count": 2, "n_points": 2}}
-        ))
-        (sweeps / "junk.json").write_text("{not json")
-        store = ResultStore(tmp_path)
-        stats = store.backfill(sweeps)
-        assert stats == {"manifests": 1, "absorbed": 1,
-                         "already_indexed": 0, "points": 1,
-                         "skipped_manifests": 3}
-        assert store.labels() == {"good": 1}
-        # idempotent: a second backfill appends nothing — and reports
-        # the manifest as already indexed, not as fresh work
-        again = store.backfill(sweeps)
-        assert again["points"] == 0 and again["absorbed"] == 0
-        assert again["already_indexed"] == 1
-
-    def test_backfill_missing_dir_is_noop(self, tmp_path):
-        stats = ResultStore(tmp_path).backfill(tmp_path / "nope")
-        assert stats["manifests"] == 0
+        assert len(reader) == 3
 
 
 # -- the steal protocol -------------------------------------------------------
@@ -533,8 +534,8 @@ class TestFleetRuns:
         """A worker persists to the result cache and its done record
         only: the dispatcher's finalize is the store's one writer."""
         # the worker re-points the process-global trace cache
-        monkeypatch.setattr(workloads, "_TRACE_CACHE_DIR",
-                            workloads._TRACE_CACHE_DIR)
+        monkeypatch.setattr(workloads, "_TRACE_CACHE",
+                            workloads._TRACE_CACHE)
         clear_memo()
         cache = tmp_path / "cache"
         spec = _specs()[0]
@@ -621,7 +622,7 @@ class TestFleetRuns:
             ).run()
             assert outcome.complete
             assert len(index.read_text().splitlines()) == 12
-        assert ResultStore(cache).labels() == {"g": 12}
+        assert len(ResultStore(cache)) == 12
 
     def test_rerun_resumes_from_done_records(self, tmp_path):
         cache = tmp_path / "fleet"
@@ -633,6 +634,18 @@ class TestFleetRuns:
             wall_timeout=120.0, spawn_env=_spawn_env(),
         ).run()
         assert first.complete
+        # the label was fleet-run: scenarios compare's HTML report
+        # carries a row per worker that computed points (a resumed
+        # run clears the heartbeats, so this reads the first run's)
+        report = tmp_path / "r.html"
+        assert scenarios_main(
+            ["compare", "g", "g", "--cache-dir", str(cache),
+             "--format", "html", "--out", str(report)]
+        ) == 0
+        html = report.read_text()
+        assert "<h2>Fleet workers</h2>" in html
+        for worker in first.worker_points:
+            assert f"<td>{worker}</td>" in html
         again = FleetDispatcher(
             specs, label="g", scenario=SCENARIO, cache_dir=cache,
             workers=0, wall_timeout=60.0,
@@ -755,10 +768,6 @@ class TestFleetCli:
             ["run", "no-such", "--cache-dir", str(tmp_path)]
         ) == 2
 
-    def test_store_empty_listing(self, tmp_path, capsys):
-        assert fleet_main(["store", "--cache-dir", str(tmp_path)]) == 0
-        assert "store is empty" in capsys.readouterr().out
-
     def test_stats_unknown_label(self, tmp_path, capsys):
         assert fleet_main(["stats", "nope",
                            "--cache-dir", str(tmp_path)]) == 2
@@ -779,70 +788,82 @@ class TestFleetCli:
         assert "fast" in out and "slow" in out
         assert "STRAGGLER" in out
 
-    def test_backfill_then_compare_html_from_store(self, tmp_path,
-                                                   capsys):
-        """The history-to-report path: absorb two manifests into the
-        store, then render the HTML regression report straight from
-        the index — no manifest re-reads, regressions highlighted."""
-        sweeps = tmp_path / "sweeps"
-        sweeps.mkdir()
-        spec, result = _probe_result()
+    def test_help_offers_only_run_worker_stats(self, capsys):
+        with pytest.raises(SystemExit):
+            fleet_main(["--help"])
+        assert "{run,worker,stats}" in capsys.readouterr().out
+        for gone in ("backfill", "store", "compare"):
+            with pytest.raises(SystemExit) as exc:
+                fleet_main([gone])
+            assert exc.value.code == 2
 
-        def manifest(label, t):
-            return {
-                "label": label, "scenario": SCENARIO,
-                "points": [
-                    {"name": f"p[x={x}]",
-                     "spec_hash": f"{result.spec_hash[:-2]}{x:02d}",
-                     "result": dict(result.to_dict(), t=t * (1 + x))}
-                    for x in range(3)
-                ],
-            }
 
-        (sweeps / "base.json").write_text(json.dumps(manifest("base", 1.0)))
-        (sweeps / "slow.json").write_text(json.dumps(manifest("slow", 2.0)))
-        assert fleet_main(["backfill", "--cache-dir", str(tmp_path)]) == 0
-        assert "6 points indexed" in capsys.readouterr().out
-        # the manifests are now redundant: compare reads the store
-        (sweeps / "base.json").unlink()
-        (sweeps / "slow.json").unlink()
-        out = tmp_path / "report.html"
-        assert fleet_main(
-            ["compare", "base", "slow", "--cache-dir", str(tmp_path),
-             "--html", str(out)]
-        ) == 0
-        html = out.read_text()
-        assert "<!DOCTYPE html>" in html
+# -- scenarios compare over fleet-run labels ----------------------------------
+
+def _write_manifests(cache):
+    """Two 3-point manifests, "base" and "slow" (every t doubled)."""
+    sweeps = cache / "sweeps"
+    sweeps.mkdir(parents=True)
+    spec, result = _probe_result()
+    for label, t in (("base", 1.0), ("slow", 2.0)):
+        (sweeps / f"{label}.json").write_text(json.dumps({
+            "label": label, "scenario": SCENARIO,
+            "points": [
+                {"name": f"p[x={x}]",
+                 "spec_hash": f"{result.spec_hash[:-2]}{x:02d}",
+                 "result": dict(result.to_dict(), t=t * (1 + x))}
+                for x in range(3)
+            ],
+        }))
+
+
+def _plant_workers(cache, label):
+    dirs = FleetDirs(cache / "fleet" / label).create()
+    dirs.beat("w-fast", None, points_done=2,
+              telemetry={"points_per_min": 10.0})
+    dirs.beat("w-slow", None, points_done=1,
+              telemetry={"points_per_min": 1.0})
+
+
+def _html_report(cache, a="base", b="slow"):
+    out = cache / "report.html"
+    assert scenarios_main(
+        ["compare", a, b, "--cache-dir", str(cache),
+         "--format", "html", "--out", str(out)]
+    ) == 0
+    return out.read_text()
+
+
+class TestScenariosCompare:
+    def test_candidate_labels_workers_are_listed(self, tmp_path):
+        _write_manifests(tmp_path)
+        _plant_workers(tmp_path, "slow")
+        html = _html_report(tmp_path)
         assert 'class="regression"' in html  # every row doubled
-        assert "base" in html and "slow" in html
+        assert "<h2>Fleet workers</h2>" in html
+        assert "<td>w-fast</td>" in html and "<td>w-slow</td>" in html
+        assert 'class="straggler"' in html
 
-    def test_compare_markdown_falls_back_to_manifests(self, tmp_path,
-                                                      capsys):
-        _serial_manifest(tmp_path)
-        assert fleet_main(
-            ["compare", "g", "g", "--cache-dir", str(tmp_path),
-             "--over", "seed"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "Sweep comparison" in out
+    def test_falls_back_to_the_baselines_fleet_dir(self, tmp_path):
+        _write_manifests(tmp_path)
+        _plant_workers(tmp_path, "base")
+        html = _html_report(tmp_path)
+        assert "<h2>Fleet workers</h2>" in html
+        assert "<td>w-fast</td>" in html
 
-    def test_compare_percentiles_parsed_alike_by_both_clis(
-            self, tmp_path, capsys):
-        """``fleet compare`` and ``scenarios compare`` share one
-        ``--percentiles`` parser: same columns, same usage error."""
+    def test_no_fleet_dir_no_workers_section(self, tmp_path):
+        _write_manifests(tmp_path)
+        html = _html_report(tmp_path)
+        assert "<!DOCTYPE html>" in html
+        assert "Fleet workers" not in html
+
+    def test_percentiles_columns_and_usage_error(self, tmp_path, capsys):
         _serial_manifest(tmp_path)
         capsys.readouterr()
         common = ["compare", "g", "g", "--cache-dir", str(tmp_path),
                   "--over", "seed"]
-        outs = []
-        for cli in (fleet_main, scenarios_main):
-            assert cli(common + ["--percentiles", "50,99"]) == 0
-            outs.append(capsys.readouterr().out)
-        assert outs[0] == outs[1]
-        assert "P99" in outs[0]
-        errs = []
-        for cli in (fleet_main, scenarios_main):
-            assert cli(common + ["--percentiles", "50,x"]) == 2
-            errs.append(capsys.readouterr().err)
-        assert errs[0] == errs[1]
-        assert "--percentiles expects comma-separated numbers" in errs[0]
+        assert scenarios_main(common + ["--percentiles", "50,99"]) == 0
+        assert "P99" in capsys.readouterr().out
+        assert scenarios_main(common + ["--percentiles", "50,x"]) == 2
+        assert "--percentiles expects comma-separated numbers" \
+            in capsys.readouterr().err

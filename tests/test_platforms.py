@@ -168,3 +168,84 @@ class TestPlatformXml:
 
         with pytest.raises(ValueError, match="no hosts"):
             PlatformSpec("p", Topology(), [])
+
+
+def _registry_plans():
+    """Every distinct platform plan the scenario registry builds."""
+    from repro.scenarios import SCENARIOS
+
+    plans = {}
+    for entry in SCENARIOS.values():
+        for spec in entry.points():
+            plans.setdefault(spec.platform, None)
+    return list(plans)
+
+
+def _fresh_platform(plan, monkeypatch):
+    """Build ``plan`` uncached, recording the order of link calls."""
+    from repro.net import Topology
+    from repro.scenarios import platforms
+
+    calls = []
+    real = Topology.add_link
+
+    def recording(self, a, b, bandwidth, latency, duplex=True):
+        fwd, back = real(self, a, b, bandwidth, latency, duplex)
+        calls.append((a.name, b.name, fwd))
+        if back is not None:
+            calls.append((b.name, a.name, back))
+        return fwd, back
+
+    monkeypatch.setattr(Topology, "add_link", recording)
+    spec = platforms.build_platform.__wrapped__(plan)
+    monkeypatch.setattr(Topology, "add_link", real)
+    return spec, calls
+
+
+class TestRoutingMatchesNetworkx:
+    """networkx is the reference the in-house routing replaced: the
+    same graph must give the same routes and the same link order."""
+
+    @pytest.mark.parametrize("plan", _registry_plans(),
+                             ids=lambda p: f"{p.kind}-{p.n_hosts}")
+    def test_routes_and_link_order_equal_networkx(self, plan, monkeypatch):
+        nx = pytest.importorskip("networkx")
+        spec, calls = _fresh_platform(plan, monkeypatch)
+        topo = spec.topology
+        graph = nx.DiGraph()
+        graph.add_nodes_from(n.name for n in topo.nodes)
+        for u, v, link in calls:
+            graph.add_edge(u, v, link=link)
+        assert topo.links() == [d["link"] for _u, _v, d
+                                in graph.edges(data=True)]
+        # the first hosts (packed peers) plus an even spread across
+        # the whole platform (spread peers cross its backbone)
+        stride = max(1, len(spec.hosts) // 20)
+        hosts = list(dict.fromkeys(spec.hosts[:20] + spec.hosts[::stride]))
+        for src in hosts:
+            for dst in hosts:
+                if src is dst:
+                    continue
+                path = nx.shortest_path(graph, src.name, dst.name)
+                expected = [graph.edges[u, v]["link"]
+                            for u, v in zip(path, path[1:])]
+                assert topo.route(src, dst) == expected
+
+    def test_unreachable_pair_raises(self):
+        from repro.net import Host, Topology
+
+        topo = Topology()
+        a, b = topo.add_node(Host("a")), topo.add_node(Host("b"))
+        with pytest.raises(ValueError, match="no route"):
+            topo.route(a, b)
+
+    def test_simplex_link_routes_one_way(self):
+        from repro.net import Host, Topology
+
+        topo = Topology()
+        a, b = topo.add_node(Host("a")), topo.add_node(Host("b"))
+        fwd, back = topo.add_link(a, b, 1e6, 1e-3, duplex=False)
+        assert back is None
+        assert topo.route(a, b) == [fwd]
+        with pytest.raises(ValueError, match="no route"):
+            topo.route(b, a)

@@ -80,13 +80,11 @@ def tiny_query(**overrides):
 
 
 @pytest.fixture(autouse=True)
-def _isolate_process_globals():
+def _isolate_process_globals(monkeypatch):
     """Counter pins need a cold scenario memo, and engines re-point the
     process-global trace cache; reset both around every test."""
     clear_memo()
-    saved = workloads._TRACE_CACHE_DIR
-    yield
-    workloads.set_trace_cache_dir(saved)
+    monkeypatch.setattr(workloads, "_TRACE_CACHE", workloads._TRACE_CACHE)
 
 
 # -- QuerySpec / Answer -------------------------------------------------------

@@ -17,7 +17,7 @@ from repro.scenarios import (
     SweepRunner,
     run_scenario,
 )
-from repro.scenarios.runner import ReadGuard, atomic_write_text
+from repro.scenarios.runner import atomic_write_text
 from repro.scenarios.spec import PlatformPlan, WorkloadPlan
 from repro.scenarios import workloads
 
@@ -90,13 +90,25 @@ class TestAbsorb:
         spec = _spec(seed=3)
         source.put(spec, run_scenario(spec))
         (source.root / "traces").mkdir()
+        (source.root / "traces" / "k.json").write_text('{"k": 1}')
+        # a leftover pickle from an older cache is not carried over
         (source.root / "traces" / "k.trace.pkl").write_bytes(b"blob")
         runner = SweepRunner(cache_dir=tmp_path / "dst")
         assert runner.absorb(source.root) == 1
         assert runner.cache.get(spec) is not None
-        assert (tmp_path / "dst" / "traces" / "k.trace.pkl").read_bytes() \
-            == b"blob"
+        assert (tmp_path / "dst" / "traces" / "k.json").read_text() \
+            == '{"k": 1}'
+        assert not (tmp_path / "dst" / "traces" / "k.trace.pkl").exists()
         assert runner.absorb(source.root) == 0
+
+
+RECIPE = ("heat", 2, "O1", 64, 20)
+
+
+def _trace_entry(cache_dir):
+    """The on-disk trace-cache file of :data:`RECIPE`."""
+    key = workloads._trace_key(workloads._trace_recipe(*RECIPE))
+    return cache_dir / f"{key}.json"
 
 
 class TestTraceCache:
@@ -106,7 +118,7 @@ class TestTraceCache:
         workloads.set_trace_cache_dir(None)
 
     def test_disk_roundtrip_preserves_reference_results(self, tmp_path):
-        """The pickled-trace path must be invisible: a reference run
+        """The trace-file path must be invisible: a reference run
         from disk-loaded traces is byte-identical to the computed one."""
         spec = ScenarioSpec(
             name="trace-probe", kind="reference",
@@ -117,56 +129,111 @@ class TestTraceCache:
         workloads.set_trace_cache_dir(tmp_path)
         workloads.clear_caches()
         computed = run_scenario(spec)  # computes, stores to disk
-        assert list(tmp_path.glob("*.trace.pkl"))
+        assert _trace_entry(tmp_path).is_file()
         workloads.clear_caches()  # force the disk-load path
         loaded = run_scenario(spec)
         assert loaded.canonical_json() == computed.canonical_json()
 
-    def test_torn_trace_entry_recomputes(self, tmp_path):
+    def test_entry_is_recipe_plus_trace_text(self, tmp_path):
         workloads.set_trace_cache_dir(tmp_path)
-        key = workloads._trace_key("heat", 2, "O1", 64, 20)
-        (tmp_path / f"{key}.trace.pkl").write_bytes(b"torn pickle")
         workloads.clear_caches()
-        assert workloads.traces("heat", 2, "O1", 64, 20)  # recomputed
+        computed = workloads.traces(*RECIPE)
+        payload = json.loads(_trace_entry(tmp_path).read_text())
+        assert payload["recipe"] == workloads._trace_recipe(*RECIPE)
+        assert [text.splitlines()[0] for text in payload["ranks"]] \
+            == ["# dperf-trace v1"] * 2
+        workloads.clear_caches()
+        loaded = workloads.traces(*RECIPE)
+        assert [(t.rank, t.nprocs, t.app, t.meta, t.events)
+                for t in loaded] \
+            == [(t.rank, t.nprocs, t.app, t.meta, t.events)
+                for t in computed]
 
-    def test_env_read_error_counts_then_reraises(self, tmp_path,
-                                                 monkeypatch, caplog):
-        """A directory where the pickle should be is an environmental
+    @pytest.mark.parametrize("payload", [
+        '{"recipe": {"app": "obstacle"}, "ranks": []}',  # foreign recipe
+        None,                                    # recipe ok, bad trace
+        "torn {",                                # torn JSON
+    ])
+    def test_undecodable_entry_recomputes(self, tmp_path, payload):
+        workloads.set_trace_cache_dir(tmp_path)
+        if payload is None:
+            payload = json.dumps({
+                "recipe": workloads._trace_recipe(*RECIPE),
+                "ranks": ["not a trace"]})
+        _trace_entry(tmp_path).write_text(payload)
+        workloads.clear_caches()
+        traces = workloads.traces(*RECIPE)  # recomputed
+        assert [t.rank for t in traces] == [0, 1]
+        # and the recomputed traces replaced the bad entry
+        assert json.loads(_trace_entry(tmp_path).read_text())["recipe"] \
+            == workloads._trace_recipe(*RECIPE)
+
+    def test_planted_pickle_is_never_loaded(self, tmp_path):
+        """A ``.trace.pkl`` left at the old entry name — here one whose
+        unpickling would write a marker file — is never opened, nor
+        copied by a cache union: the cache reads JSON only, so a
+        writable cache dir runs no code."""
+        import pickle
+
+        marker = tmp_path / "pwned"
+
+        class Plant:
+            def __reduce__(self):
+                return (marker.write_text, ("unpickled",))
+
+        traces_dir = tmp_path / "cache" / "traces"
+        traces_dir.mkdir(parents=True)
+        key = workloads._trace_key(workloads._trace_recipe(*RECIPE))
+        blob = pickle.dumps(Plant())
+        (traces_dir / f"{key}.trace.pkl").write_bytes(blob)
+        workloads.set_trace_cache_dir(traces_dir)
+        for _ in range(2):  # computed, then read back from the JSON entry
+            workloads.clear_caches()
+            assert workloads.traces(*RECIPE)
+        runner = SweepRunner(cache_dir=tmp_path / "dst")
+        runner.absorb(tmp_path / "cache")
+        assert not (tmp_path / "dst" / "traces" / f"{key}.trace.pkl") \
+            .exists()
+        assert not marker.exists()
+        pickle.loads(blob)  # the plant is live: loading it would fire
+        assert marker.exists()
+
+    def test_env_read_error_counts_then_reraises(self, tmp_path, caplog):
+        """A directory where the entry should be is an environmental
         error, not a miss: ``JsonCache``'s policy applies — counted,
         logged once, tolerated once, re-raised on the second
         consecutive failure.  (Permission tricks don't work for root,
         which CI runs as.)"""
-        guard = ReadGuard()
-        monkeypatch.setattr(workloads, "_TRACE_READS", guard)
         workloads.set_trace_cache_dir(tmp_path)
-        key = workloads._trace_key("heat", 2, "O1", 64, 20)
-        (tmp_path / f"{key}.trace.pkl").mkdir()
+        cache = workloads._TRACE_CACHE
+        _trace_entry(tmp_path).mkdir()
         with caplog.at_level("WARNING", logger="repro.scenarios.cache"):
-            assert workloads._trace_cache_load(key) is None
-            assert guard.errors == 1
+            workloads.clear_caches()
+            assert workloads.traces(*RECIPE)  # first failure: a miss
+            assert cache.cache_read_errors == 1
+            workloads.clear_caches()
             with pytest.raises(IsADirectoryError):
-                workloads._trace_cache_load(key)
-        assert guard.errors == 2
+                workloads.traces(*RECIPE)
+        assert cache.cache_read_errors == 2
         assert len(caplog.records) == 1
         assert "treating as a miss" in caplog.records[0].getMessage()
 
     def test_missing_and_torn_trace_entries_are_silent_misses(
-            self, tmp_path, monkeypatch):
-        guard = ReadGuard()
-        monkeypatch.setattr(workloads, "_TRACE_READS", guard)
+            self, tmp_path):
         workloads.set_trace_cache_dir(tmp_path)
-        key = workloads._trace_key("heat", 2, "O1", 64, 20)
+        cache = workloads._TRACE_CACHE
+        key = workloads._trace_key(workloads._trace_recipe(*RECIPE))
         for _ in range(2):
-            assert workloads._trace_cache_load(key) is None  # missing
-        (tmp_path / f"{key}.trace.pkl").write_bytes(b"torn pickle")
+            assert cache.load(key) is None  # missing
+        _trace_entry(tmp_path).write_text('{"recipe": ')
         for _ in range(2):
-            assert workloads._trace_cache_load(key) is None  # torn
-        assert guard.errors == 0
+            assert cache.load(key) is None  # torn
+        assert cache.cache_read_errors == 0
 
     def test_disabled_cache_writes_nothing(self, tmp_path):
         workloads.set_trace_cache_dir(None)
         workloads.clear_caches()
-        workloads.traces("heat", 2, "O1", 64, 20)
+        workloads.traces(*RECIPE)
         assert not list(tmp_path.iterdir())
 
 
