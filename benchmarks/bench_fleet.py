@@ -15,17 +15,13 @@ measurably faster than one.  Enforced, machine-independent:
   per worker, so perfect 2x is not on the table at this grid size).
   The floor is only enforced when the host exposes >= 2 CPUs — on a
   single core two compute-bound workers cannot win, so there the
-  bench still pins completion and the steal split, and records the
+  bench still pins completion and the steal split, and prints the
   walls, but skips the speedup assertion.
 
 A second bench pins the **store at scale**: against a 100k-record
 index, one ``get_result`` through the offset sidecar must beat the
 pre-sidecar full-scan lookup by at least ``MIN_INDEX_SPEEDUP`` — the
 floor the "millions of records" store design is sold on.
-
-The wall clocks and speedups land in
-``benchmarks/BENCH_reference.json`` under the ``fleet`` section (CI
-uploads it), alongside the serve and reference trajectories.
 """
 
 import json
@@ -34,7 +30,6 @@ import time
 from pathlib import Path
 
 import pytest
-from conftest import append_bench_record
 
 import repro
 from repro.fleet import FleetDispatcher, ResultStore
@@ -86,14 +81,9 @@ def test_fleet_steal_speedup(tmp_path):
 
     speedup = one_wall / two_wall
     cores = len(os.sched_getaffinity(0))
-    append_bench_record("fleet_steal", {
-        "points": len(one.points),
-        "cores": cores,
-        "one_worker_s": round(one_wall, 3),
-        "two_worker_s": round(two_wall, 3),
-        "speedup": round(speedup, 3),
-        "two_worker_split": stealers,
-    }, section="fleet")
+    print(f"{len(one.points)} points on {cores} core(s): 1 worker "
+          f"{one_wall:.2f}s, 2 workers {two_wall:.2f}s "
+          f"({speedup:.2f}x, split {stealers})")
     if cores < 2:
         pytest.skip(f"single-CPU host ({cores} core): the steal "
                     f"speedup floor needs real parallelism")
@@ -163,16 +153,10 @@ def test_store_indexed_lookup_speedup(tmp_path):
     assert cold.sidecar_rebuilds == 0
 
     speedup = scan_s / lookup_s
-    append_bench_record("store_lookup", {
-        "records": N_RECORDS,
-        "index_bytes": store.index_path.stat().st_size,
-        "build_s": round(build_s, 3),
-        "full_scan_lookup_s": round(scan_s, 4),
-        "sidecar_rebuild_s": round(rebuild_s, 3),
-        "indexed_lookup_s": round(lookup_s, 6),
-        "cold_adopt_lookup_s": round(cold_lookup_s, 6),
-        "speedup": round(speedup, 1),
-    }, section="fleet")
+    print(f"{N_RECORDS} records: build {build_s:.3f}s, full scan "
+          f"{scan_s:.4f}s, sidecar rebuild {rebuild_s:.3f}s, indexed "
+          f"{lookup_s * 1e6:.0f}us, cold adopt {cold_lookup_s * 1e6:.0f}us "
+          f"({speedup:.0f}x)")
     assert speedup >= MIN_INDEX_SPEEDUP, (
         f"indexed lookup only {speedup:.1f}x faster than a full scan "
         f"({lookup_s * 1e6:.0f}us vs {scan_s:.3f}s); want >= "

@@ -8,21 +8,19 @@ on every push.
 
 ``test_replay_hot_path`` times the max-min trace replay on the two
 1024-node platforms (campus LAN, Daisy xDSL) — the inner loop every
-churn-grid point pays — against the recorded pre-PR-2 baseline in
-``benchmarks/BENCH_replay.json`` (route-set interning + event-batched
-reshare + constraint-reduced solver landed at ≥2× there).  Wall-clock
-ratios vs the recorded dev-machine baseline are informational; the
-*enforced* regression guards are machine-independent: the reshare
-(solver-invocation) count must not exceed the pre-PR-2 count, and
-``t_predicted`` must match the baseline exactly.
+churn-grid point pays — and tables the wall times for information.
+The *enforced* regression guards are machine-independent: the reshare
+(solver-invocation) count must not exceed
+:data:`REPLAY_MAX_RESHARES`, the count of the naive per-event
+stateless solve, and ``t_predicted`` must match
+:data:`REPLAY_T_PREDICTED`.  Timing claims for the replay come from
+``perfbench/``'s ``predict-cold`` workload.
 """
 
-import json
-import pathlib
 import time
 
 import pytest
-from conftest import append_bench_record, emit
+from conftest import emit
 
 from repro.analysis import format_table
 from repro.scenarios import SCENARIOS, SweepRunner, expand_grid, ScenarioSpec
@@ -63,11 +61,6 @@ def test_sweep_cache_overhead(benchmark, tmp_path):
          ["warm memo", str(len(specs)), str(len(specs))],
          ["cold memo, disk cache", str(len(specs)), str(disk.hits)]],
     ))
-    append_bench_record("scenario_engine", {
-        "points": len(specs),
-        "disk_hits": disk.hits,
-        "warm_sweep_s": round(benchmark.stats.stats.min, 4),
-    })
     assert disk.hits == len(specs)
 
 
@@ -78,7 +71,7 @@ def test_sweep_cache_overhead(benchmark, tmp_path):
 def test_recovery_grid_smoke():
     """One representative point per recovery regime, timed — so the
     cost of the churn recovery subsystem (liveness pings, re-dispatch,
-    catch-up recompute) is tracked from day one.  The full 18-point
+    catch-up recompute) shows in every bench run.  The full 18-point
     grid is the registered scenario; this smoke covers the regimes
     without paying the whole grid in CI.
     """
@@ -107,14 +100,6 @@ def test_recovery_grid_smoke():
          "re-dispatched", "sim events"],
         rows,
     ))
-    append_bench_record("recovery_grid_smoke", {
-        "regimes": [
-            {"regime": r[0], "wall_s": float(r[1]), "sim_t_s": float(r[2]),
-             "completed": int(r[3]), "redispatched": int(r[4]),
-             "sim_events": int(r[5])}
-            for r in rows
-        ],
-    })
     # the recovery point must actually recover: completed, with work
     # re-dispatched — otherwise this bench times the wrong thing
     assert rows[1][3] == "0" and rows[2][3] == "1"
@@ -124,7 +109,7 @@ def test_recovery_grid_smoke():
 def test_coordinator_grid_smoke():
     """One representative point per coordinator-recovery regime, timed
     — so the cost of the election subsystem (CoordPing probes, duty
-    checkpoints, hand-offs, gap re-dispatch) is tracked from day one.
+    checkpoints, hand-offs, gap re-dispatch) shows in every bench run.
     The full 18-point grid is the registered scenario; this smoke
     covers the regimes without paying the whole grid in CI.
     """
@@ -153,14 +138,6 @@ def test_coordinator_grid_smoke():
          "elections", "handoff lat [s]", "sim events"],
         rows,
     ))
-    append_bench_record("coordinator_grid_smoke", {
-        "regimes": [
-            {"regime": r[0], "wall_s": float(r[1]), "sim_t_s": float(r[2]),
-             "completed": int(r[3]), "elections": int(r[4]),
-             "handoff_latency_s": float(r[5]), "sim_events": int(r[6])}
-            for r in rows
-        ],
-    })
     # the election point must actually recover a coordinator crash:
     # completed, with at least one hand-off — otherwise this bench
     # times the wrong thing
@@ -171,7 +148,7 @@ def test_coordinator_grid_smoke():
 def test_prediction_grid_smoke():
     """One representative point per prediction regime, timed — so the
     cost of prediction-guided selection (candidate enumeration, group
-    scoring through the warm trace caches) is tracked from day one.
+    scoring through the warm trace caches) shows in every bench run.
     The full 30-point grid is the registered scenario; this smoke
     covers the regimes without paying the whole grid in CI.
     """
@@ -204,14 +181,6 @@ def test_prediction_grid_smoke():
          "candidates", "sim events"],
         rows,
     ))
-    append_bench_record("prediction_grid_smoke", {
-        "regimes": [
-            {"regime": r[0], "wall_s": float(r[1]), "makespan_s": float(r[2]),
-             "completed": int(r[3]), "candidates": int(r[4]),
-             "sim_events": int(r[5])}
-            for r in rows
-        ],
-    })
     # the headline must hold or this bench times the wrong thing:
     # predicted strictly beats the blind policy at zero error and
     # matches the omniscient oracle on the uniform-latency platform
@@ -223,7 +192,7 @@ def test_prediction_grid_smoke():
 def test_partition_grid_smoke():
     """One representative point per lossy-network regime, timed — so
     the cost of the reliability hardening (envelopes, acks, retry
-    timers, dedup sets) is tracked from day one.  The full 24-point
+    timers, dedup sets) shows in every bench run.  The full 24-point
     grid is the registered scenario; this smoke covers the regimes
     without paying the whole grid in CI.
     """
@@ -253,14 +222,6 @@ def test_partition_grid_smoke():
          "lost", "retries", "sim events"],
         rows,
     ))
-    append_bench_record("partition_grid_smoke", {
-        "regimes": [
-            {"regime": r[0], "wall_s": float(r[1]), "sim_t_s": float(r[2]),
-             "completed": int(r[3]), "messages_lost": int(r[4]),
-             "reliable_retries": int(r[5]), "sim_events": int(r[6])}
-            for r in rows
-        ],
-    })
     # the hardening contrast must hold or this bench times the wrong
     # thing: the hardened point completes through the faults, the
     # unhardened ablation does not
@@ -277,7 +238,12 @@ def test_partition_grid_smoke():
 REPLAY_CASE = dict(app="obstacle", nprocs=16, level="O0", n=1024, nit=400)
 REPLAY_PLATFORMS = ("lan", "xdsl")
 REPLAY_REPEATS = 3
-BASELINE_PATH = pathlib.Path(__file__).parent / "BENCH_replay.json"
+#: The prediction per platform, pinned: no replay optimization may
+#: move it.
+REPLAY_T_PREDICTED = {"lan": 5.7586752817913425, "xdsl": 32.88580492246834}
+#: Reshares of the naive per-event stateless max-min solve on the same
+#: case — the ceiling the optimized engine must stay under.
+REPLAY_MAX_RESHARES = {"lan": 25959, "xdsl": 25473}
 
 
 def _replay_once(kind: str):
@@ -298,30 +264,26 @@ def _replay_once(kind: str):
 
 
 def test_replay_hot_path():
-    baseline = json.loads(BASELINE_PATH.read_text())
     rows = []
     for kind in REPLAY_PLATFORMS:
         walls = []
         for _ in range(REPLAY_REPEATS):
             wall, result, net = _replay_once(kind)
             walls.append(wall)
-        best = min(walls)
-        base = baseline["pre_pr2"][kind]
         rows.append([
-            kind, f"{base['wall_s']:.3f}", f"{best:.3f}",
-            f"{base['wall_s'] / best:.2f}x",
-            str(net.reshare_count), str(base["reshares"]),
-            f"{result.t_predicted:.4f}",
+            kind, f"{min(walls):.3f}", str(net.reshare_count),
+            str(REPLAY_MAX_RESHARES[kind]), f"{result.t_predicted:.4f}",
         ])
         # the replay rework must not move the prediction itself
         assert result.t_predicted == pytest.approx(
-            base["t_predicted"], rel=1e-6
+            REPLAY_T_PREDICTED[kind], rel=1e-6
         )
         # machine-independent speedup guard: the optimized engine must
-        # keep invoking the solver (far) less often than pre-PR-2 did
-        assert net.reshare_count <= base["reshares"]
+        # keep invoking the solver (far) less often than the naive
+        # solve did
+        assert net.reshare_count <= REPLAY_MAX_RESHARES[kind]
     emit("replay_hot_path", format_table(
-        ["platform", "pre-PR2 [s]", "now [s]", "speedup",
-         "reshares", "pre-PR2 reshares", "t_predicted [s]"],
+        ["platform", "min wall [s]", "reshares", "reshare ceiling",
+         "t_predicted [s]"],
         rows,
     ))

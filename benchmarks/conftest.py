@@ -2,51 +2,19 @@
 
 Every bench regenerates one paper table/figure.  The paper-style data
 tables are printed to stdout *and* written under
-``benchmarks/results/`` so they survive pytest's output capture.
-
-Scenario-engine smoke timings additionally land in
-``benchmarks/BENCH_reference.json`` (see :func:`append_bench_record`):
-one machine-readable perf-trajectory file across PRs instead of loose
-``.txt`` files.
+``benchmarks/results/`` (ignored by git) so they survive pytest's
+output capture.  Benches are gates: what they enforce is an assertion
+in the bench source, and no bench writes a tracked file.  Timing
+claims come from ``perfbench/``, whose records carry the commit, core
+count, Python version and run-to-run spread.
 """
 
-import json
 import pathlib
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-BENCH_REFERENCE = pathlib.Path(__file__).parent / "BENCH_reference.json"
-
-#: Keep the per-run smoke trajectory bounded: benches run on every
-#: push, and the recorded pre/post sections are the durable history.
-MAX_SMOKE_RECORDS = 50
 
 
 def emit(name: str, text: str) -> None:
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
     print(f"\n===== {name} =====\n{text}\n")
-
-
-def append_bench_record(name: str, record: dict,
-                        section: str = "smoke") -> None:
-    """Append one timing record to a section of
-    ``BENCH_reference.json`` (default ``smoke``; the serve-daemon
-    bench records under ``serve``), so the perf trajectory of the
-    scenario-engine smokes is machine-readable across PRs instead of
-    scattered over ``results/*.txt``.  The write is atomic (readers
-    never see a torn file); concurrent appenders are last-writer-wins
-    — benches run sequentially in CI, so that race does not arise."""
-    from repro.scenarios.runner import atomic_write_text
-
-    try:
-        payload = json.loads(BENCH_REFERENCE.read_text())
-    except (OSError, ValueError):
-        payload = {}
-    smoke = payload.setdefault(section, {})
-    runs = smoke.setdefault(name, [])
-    runs.append(record)
-    del runs[:-MAX_SMOKE_RECORDS]
-    atomic_write_text(BENCH_REFERENCE,
-                      json.dumps(payload, indent=1, sort_keys=True) + "\n")
-    print(f"\n===== {name} -> BENCH_reference.json =====\n"
-          f"{json.dumps(record, sort_keys=True)}\n")

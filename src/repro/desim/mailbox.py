@@ -33,10 +33,6 @@ class Mailbox:
     def __len__(self) -> int:
         return len(self._items)
 
-    @property
-    def pending_getters(self) -> int:
-        return len(self._getters)
-
     def put(self, item: Any) -> None:
         # Hand the item straight to the oldest live getter, else queue it.
         while self._getters:

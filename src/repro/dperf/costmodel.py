@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Mapping
 
-from .papi import CATEGORIES, Census
+from .papi import Census
 
 #: Cycles per operation at O0 on the reference machine.  O0 keeps every
 #: named scalar on the stack, so each scalar touch is a store-forwarded
@@ -92,12 +92,3 @@ class MachineModel:
 
 #: The calibrated reference machine used throughout the experiments.
 REFERENCE_MACHINE = MachineModel()
-
-
-def validate_census_categories(census: Census) -> None:
-    """Raise on categories the machine model cannot price."""
-    for category in census:
-        if category.startswith("builtin:"):
-            continue
-        if category not in CATEGORIES:
-            raise KeyError(f"census contains unknown category {category!r}")

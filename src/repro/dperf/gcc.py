@@ -103,10 +103,6 @@ class GccModel:
             return out
         return base
 
-    @property
-    def vectorizes(self) -> bool:
-        return self.level == "O3"
-
 
 def parse_level(level: str | int) -> str:
     """Accept ``0``/``"0"``/``"O0"``/``"s"``/``"Os"`` spellings."""

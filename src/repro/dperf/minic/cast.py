@@ -31,10 +31,6 @@ class CType(Node):
     def is_float(self) -> bool:
         return self.name in ("float", "double")
 
-    @property
-    def is_void(self) -> bool:
-        return self.name == "void"
-
 
 # --------------------------------------------------------------------------
 # Expressions

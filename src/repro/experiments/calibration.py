@@ -1,15 +1,14 @@
 """Calibration constants mapping the models onto the paper's scale.
 
-Everything instance-specific lives here: the obstacle-problem size that
-makes the 2-peer O0 reference land near the paper's ≈40 s (Fig. 9),
-the calibration instance dPerf actually interprets, and the shared
-caches that let every benchmark reuse one calibration execution.
+This module pins the obstacle-problem defaults the experiment runners
+share: the target instance size that makes the 2-peer O0 reference
+land near the paper's ≈40 s (Fig. 9), the optimization levels and
+peer counts the figures sweep, and the reference-run noise.
 
-Since the scenario engine landed, the pipeline itself (predictors,
-calibration runs, trace scale-up, platform builders) lives in
-:mod:`repro.scenarios.workloads` / :mod:`repro.scenarios.platforms`;
-this module pins the obstacle-problem defaults on top of it, so the
-experiment runners, the benchmarks, and ad-hoc scenario sweeps all
+The pipeline itself (calibration runs, trace scale-up, platform
+builders) lives in :mod:`repro.scenarios.workloads` and
+:mod:`repro.scenarios.platforms`; the helpers here are thin views of
+it for the obstacle target, so experiment points and registry entries
 share one set of caches.
 
 Paper targets (Bordeplage cluster, Intel Xeon EM64T 3 GHz):
@@ -21,8 +20,6 @@ Paper targets (Bordeplage cluster, Intel Xeon EM64T 3 GHz):
 """
 
 from __future__ import annotations
-
-from typing import Dict, List
 
 from ..platforms import PlatformSpec
 from ..p2psap import Scheme
@@ -41,47 +38,15 @@ GRID_N = OBSTACLE_TARGET.n
 NIT = OBSTACLE_TARGET.nit
 CHECK_EVERY = _workloads.CHECK_EVERY
 
-#: Calibration instance dPerf interprets (block benchmarking input).
-CAL_N = _workloads.CAL_N
-CAL_NIT = 2 * CHECK_EVERY  # 1 warm-up cycle + 1 template cycle
-
 OPT_LEVELS = ("O0", "O1", "O2", "O3", "Os")
 
 #: Reference-run timing jitter (hardware-counter noise).
 REFERENCE_NOISE = OBSTACLE_TARGET.noise_frac
 
 
-def obstacle_predictor():
-    """The shared dPerf predictor for the obstacle source."""
-    return _workloads.predictor("obstacle")
-
-
 def calibration_runs(nprocs: int):
     """One instrumented execution per peer count (reused everywhere)."""
     return _workloads.calibration_runs("obstacle", nprocs)
-
-
-def scale_plan(nprocs: int, n: int = GRID_N, nit: int = NIT):
-    """Block-benchmark scale-up plan for the obstacle target instance."""
-    return _workloads.scale_plan("obstacle", nprocs, n, nit)
-
-
-def obstacle_traces(nprocs: int, level: str, n: int = GRID_N, nit: int = NIT):
-    """Scaled traces of the target instance at one GCC level."""
-    return _workloads.traces("obstacle", nprocs, level, n, nit)
-
-
-def iteration_compute_seconds(nprocs: int, level: str) -> List[float]:
-    """Per-rank compute seconds per iteration of the *target* instance
-    (drives the reference run's compute bursts — in our universe the
-    machine behaves exactly as the cost model says)."""
-    return _workloads.iteration_seconds("obstacle", nprocs, level, GRID_N,
-                                        NIT)
-
-
-def halo_bytes(n: int = GRID_N) -> float:
-    """Bytes of one obstacle halo message (one ghost row)."""
-    return _workloads.adapter("obstacle").halo_bytes(n)
 
 
 def obstacle_workload(
@@ -100,34 +65,11 @@ def obstacle_workload(
 
 # -- platforms ---------------------------------------------------------------
 
-def grid5000_platform(n_hosts: int = 33) -> PlatformSpec:
-    # one extra host beyond the largest peer count: the submitter/server
-    # side of the overlay lives on hosts too.
-    return _platforms.build_platform(PlatformPlan(kind="cluster",
-                                                  n_hosts=n_hosts))
-
-
 def xdsl_platform() -> PlatformSpec:
     return _platforms.build_platform(PlatformPlan(kind="xdsl"))
-
-
-def lan_platform() -> PlatformSpec:
-    return _platforms.build_platform(PlatformPlan(kind="lan", n_hosts=1024))
 
 
 def spread_hosts(platform: PlatformSpec, n: int) -> list:
     """Evenly spaced host selection — a desktop grid's peers are
     scattered across the access network, not packed on one DSLAM."""
     return _platforms.spread_hosts(platform, n)
-
-
-def sanity_check_calibration() -> Dict[str, float]:
-    """Quick numbers for tests: per-cell O0 cost and the projected
-    2-peer O0 runtime."""
-    traces = obstacle_traces(2, "O0")
-    total_cells = (GRID_N // 2) * GRID_N * NIT
-    per_cell_ns = traces[0].total_compute_ns / total_cells
-    return {
-        "per_cell_ns_O0": per_cell_ns,
-        "t2_O0_compute_estimate": traces[0].total_compute_ns * 1e-9,
-    }

@@ -251,10 +251,6 @@ class FleetDispatcher:
         log.close()  # the child holds its own copy of the fd
         self._procs[wid] = proc
 
-    def _dead_local_workers(self) -> List[str]:
-        return [wid for wid, proc in self._procs.items()
-                if proc.poll() is not None]
-
     def _worker_is_dead(self, wid: str, now: float) -> bool:
         """Local process exit is authoritative; otherwise heartbeat
         silence decides (covers remote workers too)."""

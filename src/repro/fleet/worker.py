@@ -34,6 +34,7 @@ import os
 import socket
 import threading
 import time
+import traceback
 from pathlib import Path
 from typing import Any, Dict, Optional
 
@@ -189,7 +190,10 @@ class FleetWorker:
         except Exception as exc:  # noqa: BLE001 — requeue, keep stealing
             # a *raising* compute (cache I/O fault, bad spec) is a
             # worker-level failure, not a scenario datum: hand the
-            # point back with backoff and let the retry budget decide
+            # point back with backoff and let the retry budget decide;
+            # the traceback goes to stderr (workers/<wid>.log when
+            # the dispatcher spawned this worker)
+            traceback.print_exc()
             task["_path"] = str(
                 self.dirs.active / f"p{index:06d}.{self.worker_id}.json"
             )

@@ -26,8 +26,8 @@ class Host(NetNode):
     """A compute endpoint.
 
     ``speed`` is in flop/s.  The paper's nodes are Intel Xeon EM64T
-    3 GHz; the calibrated speed for the obstacle-problem kernel lives
-    in :mod:`repro.experiments.calibration`, not here.
+    3 GHz; the calibrated default lives in
+    :data:`repro.platforms.cluster.DEFAULT_NODE_SPEED`, not here.
     """
 
     speed: float = 3e9

@@ -164,12 +164,6 @@ class Topology:
             self._latency_cache[key] = lat
         return lat
 
-    def route_min_bandwidth(self, src: NetNode, dst: NetNode) -> float:
-        route = self.route(src, dst)
-        if not route:
-            return float("inf")
-        return min(l.bandwidth for l in route)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"<Topology {self.name!r}: {len(self._nodes)} nodes,"

@@ -450,10 +450,10 @@ def atomic_write_bytes(path: os.PathLike | str, blob: bytes) -> None:
     """Write ``blob`` to ``path`` via tempfile + ``os.replace``.
 
     The one atomic-write primitive for every on-disk store in the
-    sweep stack (results, manifests, traces, bench trajectories):
-    readers racing the write — concurrent shards sharing a cache
-    directory, a ``compare`` during a sweep — see either the old file
-    or the complete new one, never a truncated file.
+    sweep stack (results, manifests, traces): readers racing the
+    write — concurrent shards sharing a cache directory, a
+    ``compare`` during a sweep — see either the old file or the
+    complete new one, never a truncated file.
     """
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
@@ -809,15 +809,6 @@ class SweepRunner:
             for i in miss_index[spec.spec_hash()]:
                 results[i] = result
         return [r for r in results if r is not None]
-
-    def run_grid(
-        self,
-        base: ScenarioSpec,
-        grid: Mapping[str, Sequence[Any]],
-        parallel: bool = True,
-    ) -> List[ScenarioResult]:
-        """Expand ``grid`` over ``base`` and run every point."""
-        return self.run(expand_grid(base, grid), parallel=parallel)
 
     def absorb(self, source: os.PathLike | str) -> int:
         """Union another cache directory — results and traces — into

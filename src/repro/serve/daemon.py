@@ -17,6 +17,7 @@ reply.
 
 from __future__ import annotations
 
+import logging
 import os
 import signal
 import socket
@@ -47,6 +48,8 @@ DEFAULT_REQUEST_TIMEOUT = 60.0
 
 #: Socket poll interval — how often idle loops notice the drain flag.
 _POLL_SECONDS = 0.2
+
+_LOG = logging.getLogger("repro.serve")
 
 
 class ServeDaemon:
@@ -279,6 +282,8 @@ class ServeDaemon:
             )
         except Exception as exc:  # noqa: BLE001 — the keep-serving contract
             self.engine.stats.bump("internal_errors")
+            _LOG.exception("internal error answering %r op",
+                           request.get("op"))
             return error_reply("internal-error", str(exc))
 
     def _dispatch(self, request: Dict[str, Any],

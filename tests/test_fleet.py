@@ -388,6 +388,42 @@ class TestProtocol:
         assert task["attempt"] == 2 and task["not_before"] == future
         assert worker.dirs.active_claims() == []
 
+    def test_raising_compute_requeues_and_logs_traceback(
+            self, tmp_path, monkeypatch, capsys):
+        """A compute that raises hands the point back at attempt 2
+        with a ``worker-error`` reason, and the traceback reaches the
+        worker's stderr (its log file when the dispatcher spawned
+        it), not just the one-line reason."""
+        monkeypatch.setattr(workloads, "_TRACE_CACHE",
+                            workloads._TRACE_CACHE)
+        monkeypatch.delenv("REPRO_FLEET_FAULT", raising=False)
+
+        def broken_run_cached(spec, cache):
+            raise OSError("cache disk on fire")
+
+        monkeypatch.setattr("repro.fleet.worker.run_cached",
+                            broken_run_cached)
+        cache = tmp_path / "cache"
+        spec = _specs()[0]
+        dirs = FleetDirs(cache / "fleet" / "g").create()
+        dirs.write_grid({"label": "g", "scenario": SCENARIO,
+                         "n_points": 1})
+        dirs.enqueue({"index": 0, "name": spec.name,
+                      "spec_hash": spec.spec_hash(),
+                      "spec": spec.to_dict(), "attempt": 1})
+        worker = FleetWorker(dirs.root, cache_dir=cache,
+                             worker_id="w0")
+        worker._run_task(worker._try_claim())  # noqa: SLF001
+        (task,) = dirs.queued_tasks()
+        assert task["attempt"] == 2
+        assert task["attempts"][-1]["reason"] == \
+            "worker-error: cache disk on fire"
+        assert dirs.active_claims() == []
+        err = capsys.readouterr().err
+        assert "Traceback (most recent call last)" in err
+        assert "broken_run_cached" in err
+        assert "OSError: cache disk on fire" in err
+
     def test_backoff_is_monotone_exponential(self):
         delays = [backoff_delay(a, 0.5) for a in range(1, 6)]
         assert delays == [0.5, 1.0, 2.0, 4.0, 8.0]

@@ -25,6 +25,7 @@ Sections:
 """
 
 import json
+import logging
 import math
 import random
 import socket
@@ -645,6 +646,29 @@ def test_daemon_stats_op(daemon):
     assert reply["stats"]["scenario_runs"] == TINY["pool"]
     assert reply["daemon"]["protocol"] == PROTOCOL_VERSION
     assert reply["daemon"]["address"] == daemon.address
+
+
+def test_daemon_internal_error_logs_traceback(caplog):
+    """An engine fault becomes an ``internal-error`` reply, the daemon
+    keeps serving, and the traceback is logged on ``repro.serve``."""
+    class BrokenEngine(QueryEngine):
+        def answer(self, query, deadline=None):
+            raise RuntimeError("engine exploded")
+
+    engine = BrokenEngine(cache_dir=None)
+    with caplog.at_level(logging.ERROR, logger="repro.serve"):
+        with ServeDaemon(engine, address="127.0.0.1:0") as daemon:
+            with ServeClient(daemon.address) as client:
+                reply = client.request({"op": "query", "query": TINY})
+                assert client.request({"op": "ping"})["ok"] is True
+    assert reply["ok"] is False
+    assert reply["error"] == "internal-error"
+    assert reply["detail"] == "engine exploded"
+    assert engine.stats.get("internal_errors") == 1
+    (record,) = [r for r in caplog.records if r.name == "repro.serve"]
+    assert record.exc_info is not None
+    assert record.exc_info[0] is RuntimeError
+    assert "engine exploded" in str(record.exc_info[1])
 
 
 # -- identity: serial vs concurrent, restart recovery -------------------------
