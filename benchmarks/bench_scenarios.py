@@ -12,14 +12,13 @@ churn-grid point pays — and tables the wall times for information.
 The *enforced* regression guards are machine-independent: the reshare
 (solver-invocation) count must not exceed
 :data:`REPLAY_MAX_RESHARES`, the count of the naive per-event
-stateless solve, and ``t_predicted`` must match
-:data:`REPLAY_T_PREDICTED`.  Timing claims for the replay come from
-``perfbench/``'s ``predict-cold`` workload.
+stateless solve, and ``t_predicted`` must equal
+:data:`REPLAY_T_PREDICTED` exactly.  Timing claims for the replay come
+from ``perfbench/``'s ``predict-cold`` workload.
 """
 
 import time
 
-import pytest
 from conftest import emit
 
 from repro.analysis import format_table
@@ -238,8 +237,8 @@ def test_partition_grid_smoke():
 REPLAY_CASE = dict(app="obstacle", nprocs=16, level="O0", n=1024, nit=400)
 REPLAY_PLATFORMS = ("lan", "xdsl")
 REPLAY_REPEATS = 3
-#: The prediction per platform, pinned: no replay optimization may
-#: move it.
+#: The prediction per platform, pinned to the bit: no replay
+#: optimization may move it.
 REPLAY_T_PREDICTED = {"lan": 5.7586752817913425, "xdsl": 32.88580492246834}
 #: Reshares of the naive per-event stateless max-min solve on the same
 #: case — the ceiling the optimized engine must stay under.
@@ -274,10 +273,9 @@ def test_replay_hot_path():
             kind, f"{min(walls):.3f}", str(net.reshare_count),
             str(REPLAY_MAX_RESHARES[kind]), f"{result.t_predicted:.4f}",
         ])
-        # the replay rework must not move the prediction itself
-        assert result.t_predicted == pytest.approx(
-            REPLAY_T_PREDICTED[kind], rel=1e-6
-        )
+        # the replay rework must not move the prediction itself: the
+        # contract is byte-identity, so the pinned float must match
+        assert result.t_predicted == REPLAY_T_PREDICTED[kind]
         # machine-independent speedup guard: the optimized engine must
         # keep invoking the solver (far) less often than the naive
         # solve did

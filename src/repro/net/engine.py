@@ -10,7 +10,7 @@ A transfer is modelled in two phases, as in SimGrid's LV08 model:
 The engine exposes one call, :meth:`FluidNetwork.send`, returning a
 signal that fires when the last byte arrives.
 
-Two hot-path optimizations keep large replays cheap (see DESIGN.md,
+Three hot-path optimizations keep large replays cheap (see DESIGN.md,
 "Replay hot path"):
 
 * **Route-set interning** — the (route, latency, window/RTT cap)
@@ -23,14 +23,19 @@ Two hot-path optimizations keep large replays cheap (see DESIGN.md,
   at the same time), instead of one per change.  No simulated time
   passes inside an instant, so the batched rates equal the rates the
   last of the per-change reshares would have produced.
+* **Dirty-component reshare** — a reshare re-solves only the
+  connected part of the binding graph reachable from the links that
+  contended arrivals/departures touched; flows elsewhere keep their
+  (provably unchanged) rates without being visited.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from ..desim import Signal, Simulator
 from ..desim.simulator import ScheduledCall
@@ -91,6 +96,7 @@ class _Flow:
         "start",
         "tag",
         "completion",
+        "seq",
     )
 
     def __init__(self, fid, src, dst, size, info, done, start, tag):
@@ -105,10 +111,16 @@ class _Flow:
         self.start = start
         self.tag = tag
         self.completion: Optional[ScheduledCall] = None
+        #: activation sequence number (``_active``'s insertion order),
+        #: set when the data phase starts
+        self.seq = 0
 
     @property
     def route(self):
         return self.info.route
+
+
+_activation_order = operator.attrgetter("seq")
 
 
 class FluidNetwork:
@@ -144,18 +156,18 @@ class FluidNetwork:
         self._ceiling_load: Dict[Link, float] = {}
         self._link_flows: Dict[Link, Dict[int, _Flow]] = {}
         self._binding: set = set()
-        #: Active flows whose current rate differs from their ceiling
-        #: (constrained earlier, starved, or not yet rated): exactly
-        #: the flows — beyond those crossing a binding link — whose
-        #: rate a reshare can move, so the reshare never scans the
-        #: unaffected bulk of the active set.
-        self._off_ceiling: Dict[int, _Flow] = {}
-        #: Memoized solver outcomes: the halo phases pose the same
-        #: (classes × binding links) problem every iteration, so ~85%
-        #: of reshares replay a cached rate vector instead of solving.
-        #: Keyed on interned-route identity — stable for the engine's
-        #: life because ``_routes`` keeps every info alive.
-        self._solve_cache: Dict[Any, Dict[int, float]] = {}
+        #: Links whose flow set or binding state a contended arrival or
+        #: departure changed since the last reshare: the pending
+        #: reshare re-solves only what is reachable from them.
+        self._dirty: set = set()
+        self._activations = itertools.count()
+        #: Memoized solver outcomes, keyed on the solved component's
+        #: (class, count) vector and its binding links.  How often a
+        #: reshare hits is workload-dependent (perfbench reports it as
+        #: ``net.solve_cache_hit_ratio``): halo phases repeat a
+        #: component's problem every iteration, staggered completions
+        #: produce fresh count vectors.
+        self._solve_cache: Dict[Any, Dict[_RouteInfo, float]] = {}
         # cumulative statistics
         self.bytes_delivered = 0.0
         self.transfers_completed = 0
@@ -173,10 +185,11 @@ class FluidNetwork:
         """Start a transfer; returns a signal succeeding with TransferInfo.
 
         With ``callback`` the completion is delivered as a direct
-        ``callback(TransferInfo)`` instead — same invocation instant,
-        no per-flow signal object (the control plane and the channel
-        layer send one flow per message, so the ceremony is hot) —
-        and ``None`` is returned.
+        ``callback()`` with no argument instead — same invocation
+        instant, no per-flow signal and no :class:`TransferInfo` (the
+        control plane and the channel layer send one flow per message
+        and never read the record, so the ceremony is hot) — and
+        ``None`` is returned.
         """
         if nbytes < 0:
             raise ValueError("negative transfer size")
@@ -200,7 +213,7 @@ class FluidNetwork:
         on, exactly as the per-send lookup behaved)."""
         if self._routes_version != self.topology.version:
             self._routes.clear()
-            self._solve_cache.clear()  # keys hold interned-route ids
+            self._solve_cache.clear()  # keys hold the old interned routes
             self._routes_version = self.topology.version
         key = (src.name, dst.name)
         info = self._routes.get(key)
@@ -248,6 +261,7 @@ class FluidNetwork:
             return
         if self.sim.now != self._last_update:
             self._advance_progress()
+        flow.seq = next(self._activations)
         self._active[flow.fid] = flow
         self._track(flow)
         # Uncontended arrival: if no crossed link can saturate, the
@@ -256,10 +270,12 @@ class FluidNetwork:
         # fat-link platforms, and the first flow of every pair on
         # access-bottlenecked ones).
         binding = self._binding
-        if binding and not binding.isdisjoint(flow.info.route):
-            # unrated until the solver runs: the pending reshare must
-            # see it even if its links leave the binding set meanwhile
-            self._off_ceiling[flow.fid] = flow
+        route = flow.info.route
+        if binding and not binding.isdisjoint(route):
+            # unrated until the solver runs: its links stay dirty, so
+            # the pending reshare visits it even if they leave the
+            # binding set meanwhile
+            self._dirty.update(route)
             self._request_reshare()
         else:
             self._set_rate(flow, flow.info.ceiling)
@@ -270,10 +286,6 @@ class FluidNetwork:
             if rate == flow.rate:
                 return
         flow.rate = rate
-        if rate != flow.info.ceiling:
-            self._off_ceiling[flow.fid] = flow
-        else:
-            self._off_ceiling.pop(flow.fid, None)
         if rate <= 0.0:
             # starved; will reshare on next change
             if completion is not None:
@@ -343,86 +355,76 @@ class FluidNetwork:
 
     def _run_reshare(self) -> None:
         self._reshare_pending = False
+        dirty = self._dirty
+        self._dirty = set()
         if not self._active:
             return
         if self.sim.now != self._last_update:
             self._advance_progress()  # no-op unless a caller skipped it
         self.reshare_count += 1
-        # Solve only the *residual* problem: flows crossing a link that
-        # could saturate at current ceilings.  Everything else runs at
-        # its interned ceiling — on access-bottlenecked platforms the
-        # backbone never enters the solver at all.  Residual flows are
-        # grouped by interned route class: identical (route, cap) flows
-        # are exchangeable, so the solver sees one entry with a
-        # multiplicity instead of one entry per flow.
+        # Re-solve only the part of the binding graph a change can have
+        # moved: the flows on the dirty links, then outward over binding
+        # links only (flow → its binding links → their flows → ...).
+        # Exact, not approximate:
+        # * progressive filling on a disconnected problem freezes each
+        #   component exactly as solving it alone would, so a component
+        #   no change reached keeps the rates a full solve would give;
+        # * _set_rate on an unchanged rate is a no-op, so skipping those
+        #   flows consumes no heap sequence numbers a full pass would;
+        # * after every reshare each off-ceiling flow sits on a binding
+        #   link, and a link only leaves the binding set on a contended
+        #   departure, which marks it dirty — so every flow that must
+        #   climb back to its ceiling is visited.
+        # Flows crossing no binding link run at their interned ceiling.
         binding = self._binding
-        # A reshare can only move flows that cross a link which could
-        # saturate, plus flows whose rate is currently away from their
-        # ceiling (constrained earlier, starved, or unrated): collect
-        # exactly those instead of doing per-flow work on the whole
-        # active set.  The candidate *set* is gathered from the
-        # (id-hash-ordered) binding links, but candidates are visited
-        # in _active's iteration order below, never in set order.
-        active = self._active
-        if not binding:
-            # no link can saturate: every off-ceiling flow (and only
-            # those) climbs back to its ceiling, visited in the exact
-            # order the full _active scan would have reached them
-            off = self._off_ceiling
-            if off:
-                for flow in [f for fid, f in active.items() if fid in off]:
-                    self._set_rate(flow, flow.info.ceiling)
-            return
-        fids = set(self._off_ceiling)
-        for link in binding:
-            fids.update(self._link_flows[link])
-        # Candidates in _active's (activation) iteration order — the
-        # exact order the full scan this replaces visited them, so
-        # solver input order, freeze order and completion sequencing
-        # are byte-identical to the pre-fast-core engine.
-        candidates = [f for fid, f in active.items() if fid in fids]
-        rates: Dict[int, float] = {}
-        if binding:
-            # Group by interned-route class and build the solve-cache
-            # key first; solver inputs are only materialized on a miss
-            # (the halo phases repeat the same problem every iteration).
-            counts: Dict[int, list] = {}
-            order: List[int] = []
-            for flow in candidates:
+        link_flows = self._link_flows
+        members: Dict[int, _Flow] = {}
+        crosses: Dict[_RouteInfo, bool] = {}  # class → on a binding link
+        todo = [link for link in dirty if link in link_flows]
+        seen = set(todo)
+        while todo:
+            flows = link_flows[todo.pop()]
+            members.update(flows)
+            for flow in flows.values():
                 info = flow.info
-                cid = id(info)
-                entry = counts.get(cid)
-                if entry is None:
-                    counts[cid] = [info, 1]
-                    order.append(cid)
-                else:
-                    entry[1] += 1
-            key = (
-                tuple((cid, counts[cid][1]) for cid in order),
-                tuple(sorted(map(id, binding))),
-            )
+                if info in crosses:
+                    continue  # same route as a flow already expanded
+                crossing = False
+                for link in info.route:
+                    if link in binding:
+                        crossing = True
+                        if link not in seen:
+                            seen.add(link)
+                            todo.append(link)
+                crosses[info] = crossing
+        # Visit in activation (_active) order — the order a full scan
+        # would use — so solver input order, freeze order and
+        # completion sequencing do not depend on set iteration order.
+        candidates = sorted(members.values(), key=_activation_order)
+        rates: Dict[_RouteInfo, float] = {}
+        # Group identical (route, cap) flows into one class with a
+        # multiplicity and build the solve-cache key first; solver
+        # inputs are only materialized on a miss.
+        counts: Dict[_RouteInfo, int] = {}
+        for flow in candidates:
+            info = flow.info
+            if crosses[info]:
+                counts[info] = counts.get(info, 0) + 1
+        if counts:
+            key = (tuple(counts.items()),
+                   frozenset(link for link in seen if link in binding))
             rates = self._solve_cache.get(key)
             if rates is None:
-                routes: Dict[int, List[Link]] = {}
-                caps: Dict[int, float] = {}
-                sizes: Dict[int, int] = {}
-                for cid in order:
-                    info, n = counts[cid]
-                    if binding.isdisjoint(info.route):
-                        continue
-                    routes[cid] = [l for l in info.route if l in binding]
-                    caps[cid] = info.ceiling
-                    sizes[cid] = n
                 rates = progressive_fill(
-                    routes, caps, sizes,
+                    {info: [l for l in info.route if l in binding]
+                     for info in counts},
+                    {info: info.ceiling for info in counts},
+                    counts,
                     bandwidth_factor=self.tcp.bandwidth_factor,
                 )
                 self._solve_cache[key] = rates
         for flow in candidates:
-            # rate-unchanged flows keep their scheduled completion —
-            # _set_rate skips the heap churn (flows on disjoint links
-            # are the common case in halo phases)
-            rate = rates.get(id(flow.info))
+            rate = rates.get(flow.info)
             self._set_rate(flow,
                            rate if rate is not None else flow.info.ceiling)
 
@@ -431,32 +433,30 @@ class FluidNetwork:
             self._advance_progress()
         flow.remaining = 0.0
         del self._active[flow.fid]
-        self._off_ceiling.pop(flow.fid, None)
         # Departure from all-slack links frees capacity nobody was
         # contending for: remaining rates are unaffected, skip the
         # solver (mirror of the uncontended-arrival case).
         binding = self._binding
-        contended = bool(binding) and not binding.isdisjoint(
-            flow.info.route
-        )
+        route = flow.info.route
+        contended = bool(binding) and not binding.isdisjoint(route)
         self._untrack(flow)
         self._finish(flow)
         if contended and self._active:
+            self._dirty.update(route)
             self._request_reshare()
 
     def _finish(self, flow: _Flow) -> None:
         self.bytes_delivered += flow.size
         self.transfers_completed += 1
-        info = TransferInfo(
-            src=flow.src.name,
-            dst=flow.dst.name,
-            size=flow.size,
-            start=flow.start,
-            end=self.sim.now,
-            tag=flow.tag,
-        )
         done = flow.done
         if done.__class__ is Signal:
-            done.succeed(info)
+            done.succeed(TransferInfo(
+                src=flow.src.name,
+                dst=flow.dst.name,
+                size=flow.size,
+                start=flow.start,
+                end=self.sim.now,
+                tag=flow.tag,
+            ))
         else:  # plain callback (same invocation instant as a succeed)
-            done(info)
+            done()

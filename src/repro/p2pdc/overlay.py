@@ -214,7 +214,7 @@ class Overlay:
         type_name = type(msg).__name__
         self.stats.message(type_name, size)
 
-        def deliver(_info) -> None:
+        def deliver() -> None:
             if target.alive:
                 target.mailbox.put(msg)
             else:
@@ -229,8 +229,8 @@ class Overlay:
                 return
             extra = faults.delay()
             if extra > 0.0:
-                def send_cb(info, _extra=extra):
-                    self.sim.call_later(_extra, deliver, info)
+                def send_cb(_extra=extra):
+                    self.sim.call_later(_extra, deliver)
             if faults.duplicate():
                 # the second copy takes its own trip over the network
                 self.net.send(src.host, target.host, size, tag=type_name,

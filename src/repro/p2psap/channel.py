@@ -199,7 +199,7 @@ class Channel:
     def _wire_send(self, src, dst, mode, wire, payload_bytes, data,
                    done, duplicate=False) -> None:
         # receiver-side protocol processing after arrival, then enqueue
-        def arrived(_info) -> None:
+        def arrived() -> None:
             self.sim.call_later(mode.per_message_overhead, self._enqueue,
                                 src, dst, mode, payload_bytes, data, done)
 
@@ -218,7 +218,7 @@ class Channel:
         if mode.acked:
             self.net.send(dst.host, src.host, mode.header_bytes,
                           tag=self._ack_tag,
-                          callback=lambda _info: done.succeed(payload_bytes))
+                          callback=lambda: done.succeed(payload_bytes))
 
     def close(self) -> None:
         self.closed = True

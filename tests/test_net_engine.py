@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.desim import Simulator
 from repro.net import (
@@ -14,6 +16,7 @@ from repro.net import (
     Topology,
     TransferInfo,
 )
+from repro.net.sharing import progressive_fill
 
 
 def two_host_net(bw=1e6, lat=0.01, tcp=TcpModel(bandwidth_factor=1.0, window=1e18)):
@@ -281,3 +284,122 @@ class TestReplayHotPath:
         d2 = net.send(a, b, 1e3)
         sim.run()
         assert d2.value.duration == pytest.approx(0.0011, rel=1e-6)
+
+
+# -- incremental reshare ≡ full residual solve -------------------------------
+
+def _full_residual_rates(net):
+    """Every active flow's rate from one solve of the whole residual
+    problem: every class crossing a binding link, grouped in activation
+    order, in a single ``progressive_fill`` call; every other flow at
+    its ceiling."""
+    binding = net._binding
+    counts = {}
+    for flow in net._active.values():
+        if not binding.isdisjoint(flow.info.route):
+            counts[flow.info] = counts.get(flow.info, 0) + 1
+    rates = progressive_fill(
+        {info: [l for l in info.route if l in binding] for info in counts},
+        {info: info.ceiling for info in counts},
+        counts,
+        bandwidth_factor=net.tcp.bandwidth_factor,
+    ) if counts else {}
+    return {fid: rates.get(flow.info, flow.info.ceiling)
+            for fid, flow in net._active.items()}
+
+
+class _CheckedNetwork(FluidNetwork):
+    """The engine under test, held to the full solve after every
+    reshare, bit for bit."""
+
+    def _run_reshare(self):
+        super()._run_reshare()
+        rates = {fid: flow.rate for fid, flow in self._active.items()}
+        assert rates == _full_residual_rates(self)
+
+
+class _FullScanNetwork(FluidNetwork):
+    """Reference: every reshare re-solves the full residual problem and
+    re-rates every active flow in activation order."""
+
+    def _run_reshare(self):
+        self._reshare_pending = False
+        self._dirty.clear()
+        if not self._active:
+            return
+        if self.sim.now != self._last_update:
+            self._advance_progress()
+        self.reshare_count += 1
+        rates = _full_residual_rates(self)
+        for fid, flow in list(self._active.items()):
+            self._set_rate(flow, rates[fid])
+
+
+def _two_leaf_topology():
+    """Three hosts on each of two leaf routers with mixed access
+    bandwidths; the leaves share one backbone narrower than the access
+    links feeding it, so access links and the backbone can all bind."""
+    topo = Topology()
+    r0 = topo.add_node(Router("r0"))
+    r1 = topo.add_node(Router("r1"))
+    topo.add_link(r0, r1, 1.5e6, 1e-3)
+    hosts = []
+    for leaf, router in enumerate((r0, r1)):
+        for i, bw in enumerate((1e6, 2e6, 5e5)):
+            host = topo.add_node(Host(f"h{leaf}{i}"))
+            topo.add_link(host, router, bw, 1e-4)
+            hosts.append(host)
+    return topo, hosts
+
+
+def _run_schedule(net_cls, schedule, window):
+    sim = Simulator()
+    topo, hosts = _two_leaf_topology()
+    net = net_cls(sim, topo, tcp=TcpModel(bandwidth_factor=0.92,
+                                          window=window))
+    ends = [None] * len(schedule)
+    arrivals = []  # completion order, same-instant ties included
+
+    def start(k, src, dst, size):
+        def arrived():
+            ends[k] = sim.now
+            arrivals.append(k)
+        net.send(hosts[src], hosts[dst], size, callback=arrived)
+
+    for k, (at, src, dst, size) in enumerate(schedule):
+        sim.schedule(at, start, k, src, dst, size)
+    sim.run()
+    return net, ends, arrivals, sim.event_count
+
+
+_SCHEDULES = st.lists(
+    st.tuples(
+        st.sampled_from([0.0, 0.05, 0.3, 1.0]),  # many simultaneous starts
+        st.integers(min_value=0, max_value=5),
+        st.integers(min_value=0, max_value=5),
+        st.one_of(st.sampled_from([1e3, 1e5, 1e6]),
+                  st.floats(min_value=1.0, max_value=4e6)),
+    ),
+    min_size=1,
+    max_size=16,
+)
+
+
+@given(_SCHEDULES, st.sampled_from([1.2e3, 1e18]))
+@settings(max_examples=150, deadline=None)
+def test_incremental_reshare_matches_full_residual_solve(schedule, window):
+    """Re-solving only the binding components a change touched gives
+    every active flow the full solve's rate after every reshare, and
+    the same completion times and order, reshares and events as
+    re-rating every flow each time.  The 1.2 kB window caps cross-leaf
+    flows below their access links (mixed caps); 1e18 leaves them
+    uncapped."""
+    net, ends, arrivals, events = _run_schedule(
+        _CheckedNetwork, schedule, window)
+    ref, ref_ends, ref_arrivals, ref_events = _run_schedule(
+        _FullScanNetwork, schedule, window)
+    assert None not in ends
+    assert ends == ref_ends
+    assert arrivals == ref_arrivals
+    assert net.reshare_count == ref.reshare_count
+    assert events == ref_events
