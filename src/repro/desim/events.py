@@ -130,22 +130,24 @@ class AnyOf(Waitable):
 
     Holds its outcome directly (no inner signal, no per-child lambda
     for the subscription fan-in): a blocked halo receive builds one of
-    these per wait, so construction weight is hot-path cost.
+    these per wait, so construction weight is hot-path cost.  It keeps
+    no reference to its children: a losing child still holds the
+    subscription, and a child -> AnyOf -> child cycle would outlive
+    the wait until the cyclic garbage collector ran.
     """
 
-    __slots__ = ("_children", "_winner", "_value_", "_exc", "_state",
-                 "_callbacks")
+    __slots__ = ("_winner", "_value_", "_exc", "_state", "_callbacks")
 
     def __init__(self, children: Iterable[Waitable]) -> None:
-        self._children = list(children)
-        if not self._children:
+        children = list(children)
+        if not children:
             raise ValueError("AnyOf requires at least one child")
         self._winner: Optional[int] = None
         self._value_: Any = None
         self._exc: Optional[BaseException] = None
         self._state = Signal._PENDING
         self._callbacks: Optional[List[Callable[[Waitable], None]]] = None
-        for i, child in enumerate(self._children):
+        for i, child in enumerate(children):
             child._subscribe(lambda c, i=i: self._on_child(i, c))
             if self._state != Signal._PENDING:
                 break  # an already-triggered child settled us inline
@@ -201,7 +203,7 @@ class AnyOf(Waitable):
             self._callbacks.append(callback)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<AnyOf of {len(self._children)}>"
+        return f"<AnyOf winner={self._winner}>"
 
 
 class AllOf(Waitable):

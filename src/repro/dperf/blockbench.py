@@ -16,8 +16,16 @@ implement the scale-up in two orthogonal steps:
    iteration count (``nit``-scaling), preserving the periodic pattern
    (e.g. a convergence allreduce every k-th iteration).
 
-Finally :func:`materialize` prices each census with the machine model
-at a chosen GCC optimization level, producing `repro.simx` traces.
+:func:`scale_skeleton` scales first and tiles second: the prologue,
+the template cycle and the epilogue are scaled once each, and the
+tiled list repeats the *same* scaled entries ``nit`` times over.
+Scaling one entry depends on nothing but that entry, so this equals
+scaling every tiled copy.
+
+Finally :func:`materialize` prices the skeleton with the machine model
+at a chosen GCC optimization level, producing `repro.simx` traces.  It
+prices each distinct entry once and reuses its cost (and its frozen
+trace event) wherever the entry repeats.
 """
 
 from __future__ import annotations
@@ -164,6 +172,44 @@ def split_by_region(entries: Sequence[object], region: str) -> _Split:
     return _Split(prologue, iterations, epilogue)
 
 
+def _template_split(
+    entries: Sequence[object],
+    region: str,
+    nit_target: int,
+    cycle_len: int,
+    warmup_cycles: int,
+) -> _Split:
+    """The prologue, the template cycle and the epilogue of a skeleton
+    (``iterations`` holds the template cycle only)."""
+    if nit_target < 0:
+        raise ScaleError("negative target iteration count")
+    split = split_by_region(entries, region)
+    n_cal = len(split.iterations)
+    needed = (warmup_cycles + 1) * cycle_len
+    if n_cal < needed:
+        raise ScaleError(
+            f"calibration run has {n_cal} iterations of region {region!r};"
+            f" scale-up needs at least {needed}"
+            f" ({warmup_cycles} warm-up cycles + 1 template cycle of"
+            f" {cycle_len})"
+        )
+    start = warmup_cycles * cycle_len
+    return _Split(split.prologue, split.iterations[start:start + cycle_len],
+                  split.epilogue)
+
+
+def _tile(split: _Split, nit_target: int) -> List[object]:
+    """Prologue, ``nit_target`` iterations of the template cycle (by
+    reference), epilogue."""
+    template = split.iterations
+    cycle_len = len(template)
+    out: List[object] = list(split.prologue)
+    for it in range(nit_target):
+        out.extend(template[it % cycle_len])
+    out.extend(split.epilogue)
+    return out
+
+
 def tile_iterations(
     entries: Sequence[object],
     region: str,
@@ -178,25 +224,9 @@ def tile_iterations(
     warm-up (phase-aligned to iteration index 0 modulo ``cycle_len``)
     becomes the template.
     """
-    if nit_target < 0:
-        raise ScaleError("negative target iteration count")
-    split = split_by_region(entries, region)
-    n_cal = len(split.iterations)
-    needed = (warmup_cycles + 1) * cycle_len
-    if n_cal < needed:
-        raise ScaleError(
-            f"calibration run has {n_cal} iterations of region {region!r};"
-            f" scale-up needs at least {needed}"
-            f" ({warmup_cycles} warm-up cycles + 1 template cycle of"
-            f" {cycle_len})"
-        )
-    start = warmup_cycles * cycle_len
-    template = split.iterations[start:start + cycle_len]
-    out: List[object] = list(split.prologue)
-    for it in range(nit_target):
-        out.extend(template[it % cycle_len])
-    out.extend(split.epilogue)
-    return out
+    split = _template_split(entries, region, nit_target, cycle_len,
+                            warmup_cycles)
+    return _tile(split, nit_target)
 
 
 # --------------------------------------------------------------------------
@@ -222,41 +252,65 @@ def materialize(
     machine: MachineModel,
     gcc: GccModel,
 ) -> List[TraceEvent]:
-    """Price a skeleton at one optimization level → trace events."""
+    """Price a skeleton at one optimization level → trace events.
+
+    A scaled skeleton repeats a few distinct entries many times, so
+    each distinct entry (by identity) is priced once: a gap's cost is
+    computed once and re-added wherever it recurs, a comm record
+    builds its event once, and equal compute bursts share one event.
+    Trace events are frozen, so sharing them is safe, and ``pending_ns``
+    sums the same floats in the same order as pricing every copy.
+    The memos live for this call only; ``entries`` keeps every keyed
+    object alive meanwhile, so no ``id`` is reused.
+    """
     events: List[TraceEvent] = []
+    gap_cost: Dict[int, float] = {}
+    comm_event: Dict[int, TraceEvent] = {}
+    computes: Dict[float, Compute] = {}
     pending_ns = 0.0
 
-    def flush() -> None:
-        nonlocal pending_ns
-        if pending_ns > 0.0:
-            events.append(Compute(pending_ns))
-            pending_ns = 0.0
+    def burst(ns: float) -> Compute:
+        compute = computes.get(ns)
+        if compute is None:
+            compute = computes[ns] = Compute(ns)
+        return compute
 
     for entry in entries:
-        if isinstance(entry, ComputeGap):
-            pending_ns += gap_ns(entry, table, machine, gcc)
-        elif isinstance(entry, CommRecord):
-            flush()
-            if entry.kind == "send":
-                events.append(Send(entry.peer, entry.size_bytes, entry.tag))
-            elif entry.kind == "isend":
-                events.append(
-                    Send(entry.peer, entry.size_bytes, entry.tag, blocking=False)
-                )
-            elif entry.kind == "recv":
-                events.append(Recv(entry.peer, entry.tag))
-            elif entry.kind == "barrier":
-                events.append(Barrier())
-            elif entry.kind == "allreduce":
-                events.append(AllReduce(entry.size_bytes))
-            else:  # pragma: no cover - defensive
-                raise ValueError(f"unknown comm kind {entry.kind!r}")
-        elif isinstance(entry, RegionMark):
+        key = id(entry)
+        ns = gap_cost.get(key)
+        if ns is None and isinstance(entry, ComputeGap):
+            ns = gap_cost[key] = gap_ns(entry, table, machine, gcc)
+        if ns is not None:
+            pending_ns += ns
             continue
-        else:  # pragma: no cover - defensive
-            raise TypeError(f"unknown skeleton entry {entry!r}")
-    flush()
+        event = comm_event.get(key)
+        if event is None:
+            if isinstance(entry, RegionMark):
+                continue
+            if not isinstance(entry, CommRecord):  # pragma: no cover
+                raise TypeError(f"unknown skeleton entry {entry!r}")
+            event = comm_event[key] = _comm_event(entry)
+        if pending_ns > 0.0:
+            events.append(burst(pending_ns))
+            pending_ns = 0.0
+        events.append(event)
+    if pending_ns > 0.0:
+        events.append(burst(pending_ns))
     return events
+
+
+def _comm_event(entry: CommRecord) -> TraceEvent:
+    if entry.kind == "send":
+        return Send(entry.peer, entry.size_bytes, entry.tag)
+    if entry.kind == "isend":
+        return Send(entry.peer, entry.size_bytes, entry.tag, blocking=False)
+    if entry.kind == "recv":
+        return Recv(entry.peer, entry.tag)
+    if entry.kind == "barrier":
+        return Barrier()
+    if entry.kind == "allreduce":
+        return AllReduce(entry.size_bytes)
+    raise ValueError(f"unknown comm kind {entry.kind!r}")  # pragma: no cover
 
 
 @dataclass(frozen=True)
@@ -274,8 +328,15 @@ class ScalePlan:
 def scale_skeleton(
     entries: Sequence[object], table: BlockTable, plan: ScalePlan
 ) -> List[object]:
-    """Full scale-up: iteration tiling then census/message scaling."""
-    tiled = tile_iterations(
-        entries, plan.region, plan.nit_target, plan.cycle_len, plan.warmup_cycles
-    )
-    return scale_entries(tiled, table, plan.env_cal, plan.env_target)
+    """Full scale-up: census/message scaling of the prologue, the
+    template cycle and the epilogue, once each, then iteration tiling
+    of the scaled template (by reference)."""
+    split = _template_split(entries, plan.region, plan.nit_target,
+                            plan.cycle_len, plan.warmup_cycles)
+    parts = [split.prologue, *split.iterations, split.epilogue]
+    # one scale_entries call, so each block's factor is worked out once;
+    # it maps entries one to one, so the parts cut back out in order
+    flat = iter(scale_entries([e for part in parts for e in part], table,
+                              plan.env_cal, plan.env_target))
+    scaled = [[next(flat) for _ in part] for part in parts]
+    return _tile(_Split(scaled[0], scaled[1:-1], scaled[-1]), plan.nit_target)

@@ -67,17 +67,6 @@ class ComputeGap:
 
     by_block: Dict[int, Census] = field(default_factory=dict)
 
-    def census_for(self, block_id: int) -> Census:
-        census = self.by_block.get(block_id)
-        if census is None:
-            census = Census()
-            self.by_block[block_id] = census
-        return census
-
-    @property
-    def is_empty(self) -> bool:
-        return all(not c for c in self.by_block.values())
-
     @property
     def total_ops(self) -> float:
         return sum(c.total_ops for c in self.by_block.values())
@@ -117,17 +106,24 @@ SkeletonEntry = Union[ComputeGap, CommRecord, RegionMark]
 
 
 class SkeletonRecorder:
-    """Per-rank recorder: ops go into the open gap; comm closes it."""
+    """Per-rank recorder: ops go into the open gap; comm closes it.
+
+    An instrumented program calls :meth:`block_begin`/:meth:`block_end`
+    once per block execution, so those look the open gap's census up
+    in ``_by_block`` directly.  A census is created on first use, so
+    every gap's ``by_block`` lists its blocks in first-use order.
+    """
 
     def __init__(self, rank: int) -> None:
         self.rank = rank
         self.entries: List[SkeletonEntry] = []
         self._gap = ComputeGap()
+        self._by_block = self._gap.by_block  # the open gap's censuses
         self._block_stack: List[int] = []
         self.block_exec_counts: Dict[int, int] = {}
         # hot path: the census dict ops are charged into right now
         # (invariant: active is census_for(current_block))
-        self.active: Census = self._gap.census_for(UNATTRIBUTED)
+        self.active: Census = self.census_for(UNATTRIBUTED)
 
     # -- block attribution --------------------------------------------------
     @property
@@ -136,34 +132,45 @@ class SkeletonRecorder:
 
     def block_begin(self, block_id: int) -> None:
         self._block_stack.append(block_id)
-        self.block_exec_counts[block_id] = (
-            self.block_exec_counts.get(block_id, 0) + 1
-        )
-        self.active = self._gap.census_for(block_id)
+        counts = self.block_exec_counts
+        counts[block_id] = counts.get(block_id, 0) + 1
+        census = self._by_block.get(block_id)
+        if census is None:
+            census = self._by_block[block_id] = Census()
+        self.active = census
 
     def block_end(self, block_id: int) -> None:
-        if not self._block_stack or self._block_stack[-1] != block_id:
+        stack = self._block_stack
+        if not stack or stack[-1] != block_id:
             raise RuntimeError(
                 f"papi_block_end({block_id}) without matching begin "
-                f"(stack {self._block_stack})"
+                f"(stack {stack})"
             )
-        self._block_stack.pop()
-        self.active = self._gap.census_for(self.current_block)
+        stack.pop()
+        top = stack[-1] if stack else UNATTRIBUTED
+        census = self._by_block.get(top)
+        if census is None:
+            census = self._by_block[top] = Census()
+        self.active = census
 
     def attr_push(self, block_id: int) -> None:
         """Temporarily attribute ops to ``block_id`` (loop control);
         does not count as a block execution."""
         self._block_stack.append(block_id)
-        self.active = self._gap.census_for(block_id)
+        self.active = self.census_for(block_id)
 
     def attr_pop(self) -> None:
-        self._block_stack.pop()
-        self.active = self._gap.census_for(self.current_block)
+        stack = self._block_stack
+        stack.pop()
+        self.active = self.census_for(stack[-1] if stack else UNATTRIBUTED)
 
     def census_for(self, block_id: int) -> Census:
         """The open gap's census of ``block_id`` (created if new), the
         one ``attr_push(block_id)`` would make active."""
-        return self._gap.census_for(block_id)
+        census = self._by_block.get(block_id)
+        if census is None:
+            census = self._by_block[block_id] = Census()
+        return census
 
     # -- op charging ----------------------------------------------------------
     def charge(self, category: str, n: float = 1.0) -> None:
@@ -172,10 +179,11 @@ class SkeletonRecorder:
 
     # -- events ---------------------------------------------------------------
     def _flush_gap(self) -> None:
-        if not self._gap.is_empty:
+        if any(self._by_block.values()):  # some census is non-empty
             self.entries.append(self._gap)
         self._gap = ComputeGap()
-        self.active = self._gap.census_for(self.current_block)
+        self._by_block = self._gap.by_block
+        self.active = self.census_for(self.current_block)
 
     def comm(self, record: CommRecord) -> None:
         self._flush_gap()

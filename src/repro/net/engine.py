@@ -305,10 +305,14 @@ class FluidNetwork:
         info = flow.info
         ceiling = info.ceiling
         ceiling_load = self._ceiling_load
+        link_flows = self._link_flows
         for link, threshold in zip(info.route, info.thresholds):
             load = ceiling_load.get(link, 0.0) + ceiling
             ceiling_load[link] = load
-            self._link_flows.setdefault(link, {})[flow.fid] = flow
+            flows = link_flows.get(link)
+            if flows is None:
+                flows = link_flows[link] = {}
+            flows[flow.fid] = flow
             if load > threshold:
                 self._binding.add(link)
 
@@ -446,6 +450,9 @@ class FluidNetwork:
             self._request_reshare()
 
     def _finish(self, flow: _Flow) -> None:
+        # the fired handle's args hold the flow: drop the cycle so a
+        # finished flow is freed at once, not by the cyclic collector
+        flow.completion = None
         self.bytes_delivered += flow.size
         self.transfers_completed += 1
         done = flow.done

@@ -55,6 +55,13 @@ def _default_residual(_n: int) -> Callable[[int], float]:
     return lambda it: 1.0 / (1 + it)
 
 
+#: The obstacle residual curve comes from a 200-iteration numpy solve;
+#: every reference point asks for it, so it is solved once per ``n``.
+#: The curve is a pure function of ``it``, so ``WorkloadSpec``s may
+#: share one.
+_obstacle_residual = lru_cache(maxsize=8)(obstacle.residual_model)
+
+
 ADAPTERS = {
     "obstacle": AppAdapter(
         name="obstacle",
@@ -66,7 +73,7 @@ ADAPTERS = {
         entry_args=lambda n, nit: obstacle.entry_args(n, nit, CHECK_EVERY),
         scale_env=obstacle.scale_env,
         halo_bytes=lambda n: (n + 2) * 8.0,
-        residual=obstacle.residual_model,
+        residual=_obstacle_residual,
     ),
     "heat": AppAdapter(
         name="heat",
@@ -249,3 +256,4 @@ def clear_caches() -> None:
     predictor.cache_clear()
     calibration_runs.cache_clear()
     traces.cache_clear()
+    _obstacle_residual.cache_clear()

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..desim import Mailbox, Simulator
+from ..desim import Mailbox, Signal, Simulator
 from ..net import FluidNetwork, Host, TcpModel
 from ..platforms import PlatformSpec
 from .traces import AllReduce, Barrier, Compute, Recv, Send, Trace, validate_trace_set
@@ -95,11 +95,28 @@ class TraceReplayer:
             self._boxes[key] = box
         return box
 
-    def _transmit(self, src: int, dst: int, size: float, tag: str):
-        """Start a network flow; deliver into dst's mailbox on arrival."""
-        done = self.net.send(self.hosts[src], self.hosts[dst], size, tag=tag)
+    def _transmit(self, src: int, dst: int, size: float, tag: str,
+                  blocking: bool = False) -> Optional[Signal]:
+        """Start a network flow; deliver into dst's mailbox on arrival.
+
+        The flow completes on the network's callback path.  Only a
+        blocking send gets a signal: it fires right after the delivery,
+        so the receiver's mailbox has the message before the sender
+        resumes.  Nobody reads a delivered item, so it is ``None``.
+        """
         box = self._box(dst, src, tag)
-        done._subscribe(lambda sig: box.put(sig.value))
+        if not blocking:
+            self.net.send(self.hosts[src], self.hosts[dst], size, tag=tag,
+                          callback=lambda: box.put(None))
+            return None
+        done = Signal("xfer")
+
+        def arrived() -> None:
+            box.put(None)
+            done.succeed()
+
+        self.net.send(self.hosts[src], self.hosts[dst], size, tag=tag,
+                      callback=arrived)
         return done
 
     # -- per-rank replay process ---------------------------------------------
@@ -115,11 +132,13 @@ class TraceReplayer:
                 self._compute[rank] += dt
                 yield sim.timeout(dt)
             elif isinstance(event, Send):
-                done = self._transmit(rank, event.dst, event.size, event.tag)
                 if event.blocking:
                     t0 = sim.now
-                    yield done
+                    yield self._transmit(rank, event.dst, event.size,
+                                         event.tag, blocking=True)
                     self._blocked[rank] += sim.now - t0
+                else:
+                    self._transmit(rank, event.dst, event.size, event.tag)
             elif isinstance(event, Recv):
                 t0 = sim.now
                 yield self._box(rank, event.src, event.tag).get()

@@ -1,5 +1,6 @@
 """Unit tests for the desim event loop and signals."""
 
+import gc
 import math
 
 import pytest
@@ -199,6 +200,23 @@ class TestCombinators:
     def test_anyof_empty_rejected(self):
         with pytest.raises(ValueError):
             AnyOf([])
+
+    def test_settled_anyof_leaves_no_cycle(self):
+        # the loser still holds the AnyOf's subscription: the AnyOf
+        # must not hold the loser, or the pair waits for the collector
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            win, lose = Signal("win"), Signal("lose")
+            any_ = AnyOf([win, lose])
+            win.succeed("w")
+            assert any_.value == (0, "w")
+            del any_, win, lose
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_allof_collects_all_values(self):
         sim = Simulator()

@@ -1,5 +1,6 @@
 """Tests for the fluid network engine and topology routing."""
 
+import gc
 import math
 
 import pytest
@@ -105,6 +106,25 @@ class TestLinkValidation:
 
 
 class TestFluidTransfers:
+    def test_finished_flow_leaves_no_cycle(self):
+        # a flow's completion handle holds the flow in its args: a
+        # finished flow drops it, so the network frees by refcount
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            sim, net, a, b = two_host_net()
+            done = []
+            net.send(a, b, 1e5, callback=lambda: done.append(sim.now))
+            net.send(b, a, 0, callback=lambda: done.append(sim.now))
+            sim.run()
+            assert len(done) == 2
+            del sim, net, a, b
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
+
     def test_single_transfer_time(self):
         sim, net, a, b = two_host_net(bw=1e6, lat=0.01)
         done = net.send(a, b, 1e6)  # 1 MB over 1 MB/s + 10 ms
