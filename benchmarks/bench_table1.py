@@ -41,9 +41,16 @@ def test_table1_equivalent_computing_power(benchmark):
                    f"{result.agreement() * 100:.0f}%")
 
     # row 1 (the xDSL row) must match the paper exactly
+    print(f"row 1 verdict: {result.rows[0].verdict!r} "
+          f"(ratio {result.rows[0].ratio:.3f}; bound 'slightly lower than')")
     assert result.rows[0].verdict == "slightly lower than"
     # LAN at equal peer count is never better than the cluster
+    print(f"row 2 ratio: {result.rows[1].ratio:.3f} (bound >= 1.0)")
     assert result.rows[1].ratio >= 1.0
+    print(f"row 3 verdict: {result.rows[2].verdict!r} "
+          f"(ratio {result.rows[2].ratio:.3f}; bound 'slightly lower than')")
     assert result.rows[2].verdict == "slightly lower than"
     # 4 xDSL is the smallest xDSL config matching 2 Grid5000
+    print(f"smallest xDSL matching 2 G5K: {result.xdsl_equivalents[2]} "
+          f"(bound == 4)")
     assert result.xdsl_equivalents[2] == 4

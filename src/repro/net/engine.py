@@ -162,11 +162,13 @@ class FluidNetwork:
         self._dirty: set = set()
         self._activations = itertools.count()
         #: Memoized solver outcomes, keyed on the solved component's
-        #: (class, count) vector and its binding links.  How often a
-        #: reshare hits is workload-dependent (perfbench reports it as
-        #: ``net.solve_cache_hit_ratio``): halo phases repeat a
-        #: component's problem every iteration, staggered completions
-        #: produce fresh count vectors.
+        #: (class, count) multiset and its binding links.  The solver
+        #: is order-free (its rates are a function of that multiset,
+        #: bit for bit), so a halo component that re-forms with its
+        #: flows activated in another order hits.  How often a reshare
+        #: hits is workload-dependent (perfbench reports it as
+        #: ``net.solve_cache_hit_ratio``): staggered completions still
+        #: produce fresh count multisets.
         self._solve_cache: Dict[Any, Dict[_RouteInfo, float]] = {}
         # cumulative statistics
         self.bytes_delivered = 0.0
@@ -401,9 +403,11 @@ class FluidNetwork:
                             seen.add(link)
                             todo.append(link)
                 crosses[info] = crossing
-        # Visit in activation (_active) order — the order a full scan
-        # would use — so solver input order, freeze order and
-        # completion sequencing do not depend on set iteration order.
+        # Re-rate in activation (_active) order — the order a full scan
+        # would use — so completion sequencing (the heap's sequence
+        # numbers) does not depend on set iteration order.  The solve
+        # itself is order-free: its rates depend only on the
+        # component's class multiset.
         candidates = sorted(members.values(), key=_activation_order)
         rates: Dict[_RouteInfo, float] = {}
         # Group identical (route, cap) flows into one class with a
@@ -415,7 +419,7 @@ class FluidNetwork:
             if crosses[info]:
                 counts[info] = counts.get(info, 0) + 1
         if counts:
-            key = (tuple(counts.items()),
+            key = (frozenset(counts.items()),
                    frozenset(link for link in seen if link in binding))
             rates = self._solve_cache.get(key)
             if rates is None:

@@ -32,6 +32,17 @@ shares, so ascending-cap batch freezing is sound), then the bottleneck
 link freezes all classes crossing it.  The pre-optimization solver
 froze one capped flow per round, which made window/RTT-capped
 platforms (xDSL) pay one full link scan per flow per reshare.
+
+Both are *order-free*: the result is a function of the multiset of
+(route, cap, multiplicity) classes, bit for bit, not of the order the
+mappings list them in.  The solvers enumerate classes in one
+canonical order — link names along the route, then cap, then
+multiplicity — before any float work, and classes with equal keys
+cross the same links with the same cap and size, so they run the same
+operations whichever comes first.  Link names are unique within a
+topology, so the order never depends on object identity and serial,
+parallel and fleet runs agree; the fluid engine relies on it to key
+its solve cache on the multiset alone.
 """
 
 from __future__ import annotations
@@ -72,18 +83,21 @@ def maxmin_grouped(
     # flows is not a constraint), leaving a residual problem of a
     # handful of access links with one or two flows each.
     eff_cap: Dict[FlowId, float] = {}
-    ceiling_load: Dict[Link, float] = {}
     for cid, route in class_routes.items():
         if not route:
             allocation[cid] = math.inf
             continue
-        cap = min(
+        eff_cap[cid] = min(
             caps.get(cid, math.inf),
             min(link.bandwidth for link in route) * bandwidth_factor,
         )
-        eff_cap[cid] = cap
-        total = cap * sizes.get(cid, 1)
-        for link in route:
+    # sum ceiling loads in canonical order, so the binding test below
+    # is order-free too
+    order = _canonical_order(class_routes, eff_cap, sizes)
+    ceiling_load: Dict[Link, float] = {}
+    for cid in order:
+        total = eff_cap[cid] * sizes.get(cid, 1)
+        for link in class_routes[cid]:
             ceiling_load[link] = ceiling_load.get(link, 0.0) + total
     binding = {
         link
@@ -96,10 +110,8 @@ def maxmin_grouped(
         return allocation
 
     residual_routes: Dict[FlowId, List[Link]] = {}
-    for cid, route in class_routes.items():
-        if cid in allocation:  # empty route, handled above
-            continue
-        constrained = [link for link in route if link in binding]
+    for cid in order:
+        constrained = [link for link in class_routes[cid] if link in binding]
         if not constrained:
             # every crossed link was pruned: the cap is the binding
             # constraint
@@ -121,6 +133,21 @@ def maxmin_grouped(
 #: the stateless solver and the fluid engine's incremental bookkeeping
 #: so both reduce to the same residual problem.
 BINDING_EPS = 1e-9
+
+
+def _canonical_order(
+    class_routes: Mapping[FlowId, Sequence[Link]],
+    class_caps: Mapping[FlowId, float],
+    sizes: Mapping[FlowId, int],
+) -> List[FlowId]:
+    """The classes of ``class_caps`` sorted by (link names along the
+    route, cap, multiplicity): the history-free order every solver
+    pass enumerates classes in.  Ties are interchangeable classes."""
+    return sorted(class_caps, key=lambda cid: (
+        tuple([link.name for link in class_routes[cid]]),
+        class_caps[cid],
+        sizes.get(cid, 1),
+    ))
 
 
 def progressive_fill(
@@ -155,7 +182,11 @@ def progressive_fill(
     unassigned: Dict[FlowId, Tuple[Sequence[Link], int]] = {}
     cap_heap: List[Tuple[float, int, FlowId]] = []
 
-    for seq, (cid, route) in enumerate(class_routes.items()):
+    # canonical class order: the heap's tie-breaking sequence numbers,
+    # each link's class list and the link scan order follow from it
+    order = _canonical_order(class_routes, class_caps, sizes)
+    for seq, cid in enumerate(order):
+        route = class_routes[cid]
         m = sizes.get(cid, 1)
         unassigned[cid] = (route, m)
         cap_heap.append((class_caps[cid], seq, cid))
@@ -216,9 +247,10 @@ def _fill_single_links(
     sizes: Mapping[FlowId, int],
     bandwidth_factor: float,
 ) -> Dict[FlowId, float]:
-    """Water-fill independent single-link groups (ascending cap order:
-    a cap at or below the even share freezes, the rest split what is
-    left equally)."""
+    """Water-fill independent single-link groups (ascending (cap,
+    multiplicity) order: a cap at or below the even share freezes, the
+    rest split what is left equally).  Links are independent, so their
+    order does not matter."""
     allocation: Dict[FlowId, float] = {}
     by_link: Dict[Link, List[FlowId]] = {}
     for cid, route in class_routes.items():
@@ -226,7 +258,8 @@ def _fill_single_links(
     for link, cids in by_link.items():
         remaining = link.bandwidth * bandwidth_factor
         n = sum(sizes.get(c, 1) for c in cids)
-        order = sorted(cids, key=lambda c: class_caps[c]) \
+        order = sorted(cids, key=lambda c: (class_caps[c],
+                                            sizes.get(c, 1))) \
             if len(cids) > 1 else cids
         for i, cid in enumerate(order):
             share = remaining / n

@@ -306,6 +306,75 @@ class TestReplayHotPath:
         assert d2.value.duration == pytest.approx(0.0011, rel=1e-6)
 
 
+# -- solve cache keyed on the class multiset ---------------------------------
+
+def _pose_components(poses):
+    """Run ``(at, [(src, dst, size), ...])`` poses on one fresh engine:
+    each pose's sends start at ``at`` in list order over equal-latency
+    routes, so they activate in the same instant in that order.
+    Returns, per pose, the rates just after its reshare and the
+    completion times, each keyed by (src, dst)."""
+    sim = Simulator()
+    topo = Topology()
+    r = topo.add_node(Router("r"))
+    hosts = {}
+    for name, bw in (("a", 1.25e6), ("b", 1e7), ("c", 2e6), ("d", 1e7)):
+        hosts[name] = topo.add_node(Host(name))
+        topo.add_link(hosts[name], r, bw, 1e-3)
+    net = FluidNetwork(sim, topo, tcp=TcpModel(bandwidth_factor=0.92,
+                                               window=1e18))
+    rates = []
+    ends = [{} for _ in poses]
+
+    def snapshot():
+        rates.append({(f.src.name, f.dst.name): f.rate
+                      for f in net._active.values()})
+
+    def start(k, src, dst, size):
+        def arrived():
+            ends[k][(src, dst)] = sim.now
+        net.send(hosts[src], hosts[dst], size, callback=arrived)
+
+    for k, (at, sends) in enumerate(poses):
+        for src, dst, size in sends:
+            sim.schedule(at, start, k, src, dst, size)
+        sim.schedule(at + 0.01, snapshot)
+    sim.run()
+    return rates, ends
+
+
+def test_solve_cache_hits_across_activation_orders(monkeypatch):
+    """A binding component re-formed with its flows activated in the
+    opposite order is the same class multiset: the second pose replays
+    the first's memoized rates (one solver call in all), and each
+    pose's rates and completion times equal a fresh engine's."""
+    import repro.net.engine as engine_module
+
+    calls = []
+    solve = engine_module.progressive_fill
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(engine_module, "progressive_fill", counted)
+    # a→c and a→d share a--r, a→c and b→c share r--c: one component
+    # whose residual routes are not all single links; a→c finishes
+    # first and leaves nothing binding
+    forward = [("a", "c", 1e5), ("b", "c", 1e6), ("a", "d", 1e6)]
+    backward = forward[::-1]
+    rates, ends = _pose_components([(0.0, forward), (10.0, backward)])
+    assert len(calls) == 1
+    assert len(rates[0]) == 3
+    assert rates[0] == rates[1]
+
+    assert max(ends[0].values()) < 10.0
+    for k, pose in enumerate([(0.0, forward), (10.0, backward)]):
+        fresh_rates, fresh_ends = _pose_components([pose])
+        assert rates[k] == fresh_rates[0]
+        assert ends[k] == fresh_ends[0]
+
+
 # -- incremental reshare ≡ full residual solve -------------------------------
 
 def _full_residual_rates(net):

@@ -274,9 +274,8 @@ def separable_problems(draw):
 @settings(max_examples=200, deadline=None)
 def test_progressive_fill_separates_over_disjoint_components(problem):
     """Solving link-disjoint components together gives, bit for bit,
-    the rates of solving each alone with its classes in their original
-    relative order — so the fluid engine may re-solve only the
-    components a change touched."""
+    the rates of solving each alone — so the fluid engine may re-solve
+    only the components a change touched."""
     components, order = problem
     spec = {cid: cls for classes in components for cid, cls in
             classes.items()}
@@ -293,3 +292,59 @@ def test_progressive_fill_separates_over_disjoint_components(problem):
     for classes in components:
         parts.update(solve([c for c in order if c in classes]))
     assert solve(order) == parts
+
+
+# -- order-freedom (what the engine's multiset-keyed solve cache relies on) -
+
+@st.composite
+def shuffled_problems(draw):
+    """Classes over a few shared links with repeated bandwidths, equal
+    caps and multiplicities above 1 — exact share ties everywhere —
+    plus several shuffled insertion orders of the same classes."""
+    links = [L(f"l{i}", draw(st.sampled_from([1e6, 1.25e6, 2e6, 3e6])))
+             for i in range(draw(st.integers(min_value=2, max_value=5)))]
+    classes = {}
+    for k in range(draw(st.integers(min_value=2, max_value=8))):
+        idx = draw(st.lists(st.integers(min_value=0,
+                                        max_value=len(links) - 1),
+                            min_size=1, max_size=3, unique=True))
+        route = [links[i] for i in idx]
+        cap = draw(st.one_of(st.none(),
+                             st.sampled_from([2.5e5, 3e5, 5e5, 1e6])))
+        classes[f"k{k}"] = (route, cap,
+                            draw(st.integers(min_value=1, max_value=3)))
+    orders = [draw(st.permutations(list(classes))) for _ in range(4)]
+    return classes, orders
+
+
+@given(shuffled_problems())
+@settings(max_examples=300, deadline=None)
+def test_solvers_are_order_free(problem):
+    """The same class multiset listed in any order gets the same rates,
+    bit for bit, from both entry points — so a solve can be memoized
+    on the multiset alone."""
+    classes, orders = problem
+
+    def fill(order):
+        return progressive_fill(
+            {c: classes[c][0] for c in order},
+            {c: min(classes[c][1] or math.inf,
+                    min(l.bandwidth for l in classes[c][0]) * 0.92)
+             for c in order},
+            {c: classes[c][2] for c in order},
+            bandwidth_factor=0.92,
+        )
+
+    def grouped(order):
+        return maxmin_grouped(
+            {c: classes[c][0] for c in order},
+            {c: classes[c][1] for c in order
+             if classes[c][1] is not None},
+            {c: classes[c][2] for c in order},
+            bandwidth_factor=0.92,
+        )
+
+    first = orders[0]
+    for order in orders[1:]:
+        assert fill(order) == fill(first)
+        assert grouped(order) == grouped(first)
