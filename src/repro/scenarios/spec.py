@@ -453,6 +453,28 @@ class ChurnEventSpec:
     target: str = ""
 
 
+#: Every sub-plan field of a :class:`ScenarioSpec` and its plan class:
+#: the one table a spec payload is parsed by.
+SUB_PLANS: Dict[str, type] = {
+    "platform": PlatformPlan, "workload": WorkloadPlan,
+    "protocol": ProtocolPlan, "tcp": TcpPlan, "timers": TimerPlan,
+    "churn_profile": ChurnProfile, "recovery": RecoveryPlan,
+    "fault_plan": NetworkFaultPlan, "prediction_error": PredictionErrorPlan,
+}
+
+
+def parse_plan(name: str, payload: Any) -> Any:
+    """Build sub-plan ``name`` from its plain-data payload; a
+    non-object payload or an unknown plan field raises ``ValueError``
+    (not ``TypeError``), so wire parsers report it as a bad request."""
+    if not isinstance(payload, Mapping):
+        raise ValueError(f"field {name!r} must be an object")
+    try:
+        return SUB_PLANS[name](**payload)
+    except TypeError as exc:
+        raise ValueError(f"bad {name!r} payload: {exc}") from None
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """One fully-specified evaluation point.
@@ -539,8 +561,9 @@ class ScenarioSpec:
         )
         if any(count < 0 for _name, count in history):
             raise ValueError("failure_history counts must be >= 0")
-        # canonical tuple-of-pairs form, so JSON round-trips (lists of
+        # canonical tuple forms, so JSON round-trips (lists, lists of
         # lists) hash and compare identically to native construction
+        object.__setattr__(self, "churn", tuple(self.churn))
         object.__setattr__(self, "failure_history", history)
 
     @property
@@ -572,27 +595,37 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioSpec":
-        """Rebuild a spec from its to_dict() form."""
+        """Rebuild a spec from its to_dict() form: the one strict
+        parser of spec payloads (fleet tasks, pool runs, serve queries).
+
+        Absent sub-plans default, so payloads older than a sub-plan
+        (pre-v5 ``prediction_error``, pre-v6 ``fault_plan``) parse;
+        unknown fields and malformed sub-plans raise ``ValueError``.
+        """
+        if not isinstance(data, Mapping):
+            raise ValueError(
+                f"scenario must be an object, got {type(data).__name__}"
+            )
         d = dict(data)
-        d["platform"] = PlatformPlan(**d["platform"])
-        d["workload"] = WorkloadPlan(**d["workload"])
-        d["protocol"] = ProtocolPlan(**d["protocol"])
-        d["tcp"] = TcpPlan(**d.get("tcp", {}))
-        d["timers"] = TimerPlan(**d.get("timers", {}))
-        d["churn"] = tuple(ChurnEventSpec(**e) for e in d.get("churn", ()))
-        d["churn_profile"] = ChurnProfile(**d.get("churn_profile", {}))
-        d["recovery"] = RecoveryPlan(**d.get("recovery", {}))
-        # absent in pre-v5 dicts: default to off, so old payloads parse
-        d["prediction_error"] = PredictionErrorPlan(
-            **d.get("prediction_error", {})
-        )
-        # absent in pre-v6 dicts: default to no faults
-        d["fault_plan"] = NetworkFaultPlan(**d.get("fault_plan", {}))
-        d["failure_history"] = tuple(
-            (str(name), int(count))
-            for name, count in d.get("failure_history", ())
-        )
-        return cls(**d)
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(
+                f"unknown scenario field(s): {', '.join(unknown)}"
+            )
+        for name in SUB_PLANS:
+            if name in d:
+                d[name] = parse_plan(name, d[name])
+        if "churn" in d:
+            if not isinstance(d["churn"], (list, tuple)):
+                raise ValueError("field 'churn' must be an array")
+            try:
+                d["churn"] = tuple(ChurnEventSpec(**e) for e in d["churn"])
+            except TypeError as exc:
+                raise ValueError(f"bad 'churn' payload: {exc}") from None
+        try:
+            return cls(**d)
+        except TypeError as exc:
+            raise ValueError(f"bad scenario payload: {exc}") from None
 
     # -- hashing -----------------------------------------------------------
     def hash_payload(self) -> Dict[str, Any]:

@@ -24,9 +24,9 @@ import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, TimeoutError as FutureTimeout
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
-from ..scenarios.spec import PlatformPlan, WorkloadPlan
+from ..scenarios.spec import parse_plan
 from .engine import ComputeAbandoned, QueryEngine
 from .protocol import (
     MAX_BATCH,
@@ -50,6 +50,13 @@ DEFAULT_REQUEST_TIMEOUT = 60.0
 _POLL_SECONDS = 0.2
 
 _LOG = logging.getLogger("repro.serve")
+
+
+def _count(request: Dict[str, Any], name: str, default: int) -> int:
+    value = request.get(name, default)
+    if type(value) is not int:  # bools are not counts
+        raise ProtocolError("bad-request", f"{name!r} must be an integer")
+    return value
 
 
 class ServeDaemon:
@@ -334,16 +341,12 @@ class ServeDaemon:
             )
         # validate the whole batch before answering any of it: a batch
         # is atomic, so a typo in query 40 can't waste 39 computes
-        try:
-            queries = [QuerySpec.from_dict(p) for p in payloads]
-        except ValueError as exc:
-            raise ProtocolError("bad-query", str(exc)) from None
+        queries = [QuerySpec.from_dict(p) for p in payloads]
         answers = self.engine.batch(queries, deadline)
         self.engine.stats.bump("served", len(answers))
         return {"ok": True, "answers": [a.to_dict() for a in answers]}
 
     def _op_price(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        plans: List[WorkloadPlan] = []
         raw = request.get("workloads")
         if not isinstance(raw, list) or not raw:
             raise ProtocolError(
@@ -355,17 +358,12 @@ class ServeDaemon:
                 f"batch of {len(raw)} exceeds {MAX_BATCH}",
             )
         try:
-            platform = PlatformPlan(**request.get("platform", {}))
-            for payload in raw:
-                if not isinstance(payload, dict):
-                    raise ProtocolError(
-                        "bad-request", "each workload must be an object"
-                    )
-                plans.append(WorkloadPlan(**payload))
-        except TypeError as exc:
+            platform = parse_plan("platform", request.get("platform", {}))
+            plans = [parse_plan("workload", payload) for payload in raw]
+        except ValueError as exc:
             raise ProtocolError("bad-request", str(exc)) from None
-        n_peers = request.get("n_peers", 4)
-        pool = request.get("pool", max(n_peers, 8))
+        n_peers = _count(request, "n_peers", 4)
+        pool = _count(request, "pool", max(n_peers, 8))
         priced = self.engine.price_batch(platform, pool, n_peers, plans)
         return {"ok": True, "priced": priced}
 

@@ -192,9 +192,9 @@ class QueryEngine:
         without answering it — the daemon-startup warm-up hook."""
         from ..scenarios import platforms
 
-        platforms.build_platform(query.platform)
-        w = query.workload
-        workloads.traces(w.app, query.n_peers, w.level, w.n, w.nit)
+        platforms.build_platform(query.scenario.platform)
+        w = query.scenario.workload
+        workloads.traces(w.app, query.scenario.n_peers, w.level, w.n, w.nit)
 
     # -- the answer path ----------------------------------------------------
     def _check_deadline(self, deadline: Optional[float]) -> None:

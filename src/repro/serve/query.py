@@ -39,20 +39,7 @@ from ..analysis.percentiles import (
     percentile,
 )
 from ..scenarios.runner import ScenarioResult
-from ..scenarios.spec import (
-    SCHEMA_VERSION,
-    ChurnEventSpec,
-    ChurnProfile,
-    NetworkFaultPlan,
-    PlatformPlan,
-    PredictionErrorPlan,
-    ProtocolPlan,
-    RecoveryPlan,
-    ScenarioSpec,
-    TcpPlan,
-    TimerPlan,
-    WorkloadPlan,
-)
+from ..scenarios.spec import SCHEMA_VERSION, ScenarioSpec
 
 #: Bump when query semantics or the answer payload change: it salts
 #: the query hash (alongside the scenario SCHEMA_VERSION and the
@@ -60,99 +47,69 @@ from ..scenarios.spec import (
 #: stale scenario results.
 SERVE_SCHEMA_VERSION = 1
 
+#: The SLO fields a query adds to its scenario; ``seed_base`` is its seed.
+_SLO_FIELDS = ("deadline", "percentile", "pool", "seed_base")
 
-@dataclass(frozen=True)
+#: A query's scenario: ``_BASE`` with any field but ``_FIXED`` set
+#: (pool members are ``reference`` runs, named and seeded per member).
+_FIXED = frozenset({"name", "kind", "seed"})
+_BASE = ScenarioSpec(name="serve", kind="reference")
+
+
+@dataclass(frozen=True, init=False)
 class QuerySpec:
-    """One SLO query: workload × platform × deadline × percentile ×
-    seed pool.
+    """One SLO query: a scenario × deadline × percentile × seed pool.
 
-    The scenario-shaping fields mirror
-    :class:`~repro.scenarios.spec.ScenarioSpec` field-for-field
-    (sub-plans reused verbatim), so any grid point a sweep can run,
-    the daemon can answer — and a sweep over the same axes warms the
-    same result cache a query resolves through.  The one fixed choice
-    is ``kind``: pool members always run the full ``reference``
-    protocol simulation (an SLO verdict should price what would
-    actually happen, not a trace replay).  ``pool`` is the seed pool
-    size ``k``; the ``i``-th pool member runs at seed
-    ``seed_base + i``.
+    ``scenario`` is a plain :class:`~repro.scenarios.spec.ScenarioSpec`,
+    so any grid point a sweep can run, the daemon can answer, through
+    the same result cache.  Its ``kind`` is fixed to ``reference``
+    (an SLO verdict prices what would actually happen, not a trace
+    replay); pool member ``i`` of ``pool`` runs at seed
+    ``seed_base + i``, where ``seed_base`` is the scenario's seed.
+    Build it from a ``scenario``, from the flat ``ScenarioSpec``
+    keywords (``workload=…, n_peers=…``) plus ``seed_base``, or from
+    both (the flat keywords then override the scenario's fields).
     """
 
     deadline: float
-    percentile: float = 99.0
-    pool: int = 5
-    seed_base: int = 2011
-    workload: WorkloadPlan = WorkloadPlan()
-    platform: PlatformPlan = PlatformPlan()
-    protocol: ProtocolPlan = ProtocolPlan()
-    tcp: TcpPlan = TcpPlan()
-    timers: TimerPlan = TimerPlan()
-    churn: Tuple[ChurnEventSpec, ...] = ()
-    churn_profile: ChurnProfile = ChurnProfile()
-    recovery: RecoveryPlan = RecoveryPlan()
-    n_peers: int = 4
-    deploy_peers: int = 0
-    n_zones: int = 0
-    spares: int = 0
-    host_policy: str = "pack"
-    selection_policy: str = "proximity"
-    prediction_error: PredictionErrorPlan = PredictionErrorPlan()
-    fault_plan: NetworkFaultPlan = NetworkFaultPlan()
-    failure_history: Tuple[Tuple[str, int], ...] = ()
-    time_limit: float = 0.0
+    percentile: float
+    pool: int
+    scenario: ScenarioSpec
 
-    def __post_init__(self) -> None:
-        if not self.deadline > 0:
-            raise ValueError(f"deadline must be > 0, got {self.deadline!r}")
-        if not 0.0 < self.percentile <= 100.0:
-            raise ValueError(
-                f"percentile must be in (0, 100], got {self.percentile!r}"
+    def __init__(self, deadline: float, percentile: float = 99.0,
+                 pool: int = 5, scenario: ScenarioSpec = _BASE,
+                 seed_base: Optional[int] = None,
+                 **scenario_fields: Any) -> None:
+        # a name, kind or seed among the flat keywords collides here
+        if (seed_base is not None or scenario_fields
+                or (scenario.name, scenario.kind) != ("serve", "reference")):
+            scenario = replace(
+                scenario, name="serve", kind="reference",
+                seed=scenario.seed if seed_base is None else seed_base,
+                **scenario_fields,
             )
-        if self.pool < 1:
-            raise ValueError(f"pool must be >= 1, got {self.pool!r}")
-        if self.seed_base < 0:
-            raise ValueError(f"seed_base must be >= 0, got {self.seed_base!r}")
-        # canonical tuple forms (wire JSON arrives as lists), so
-        # round-tripped queries hash and compare like native ones —
-        # the same normalization ScenarioSpec applies
-        object.__setattr__(self, "churn", tuple(self.churn))
-        object.__setattr__(
-            self,
-            "failure_history",
-            tuple((str(n), int(c)) for n, c in self.failure_history),
-        )
-        # delegate the cross-field guards (policy names, churn ranges,
-        # election-requires-rejoin, prediction_error-requires-predicted)
-        # to ScenarioSpec: building the pool base at construction time
-        # surfaces a bad query immediately, as a ValueError the
-        # protocol layer turns into a clean reply
-        self._base_spec()
+        if not deadline > 0:
+            raise ValueError(f"deadline must be > 0, got {deadline!r}")
+        if not 0.0 < percentile <= 100.0:
+            raise ValueError(
+                f"percentile must be in (0, 100], got {percentile!r}"
+            )
+        # both feed range(): a float off the wire is a bad query, not
+        # an internal error
+        for name, value, low in (("pool", pool, 1),
+                                 ("seed_base", scenario.seed, 0)):
+            if type(value) is not int or value < low:
+                raise ValueError(
+                    f"{name} must be an integer >= {low}, got {value!r}"
+                )
+        # frozen: write the fields past the dataclass __setattr__ guard
+        self.__dict__.update(deadline=deadline, percentile=percentile,
+                             pool=pool, scenario=scenario)
 
-    # -- scenario derivation ------------------------------------------------
-    def _base_spec(self, seed: Optional[int] = None) -> ScenarioSpec:
-        return ScenarioSpec(
-            name="serve",
-            kind="reference",
-            workload=self.workload,
-            platform=self.platform,
-            protocol=self.protocol,
-            tcp=self.tcp,
-            timers=self.timers,
-            churn=self.churn,
-            churn_profile=self.churn_profile,
-            recovery=self.recovery,
-            n_peers=self.n_peers,
-            deploy_peers=self.deploy_peers,
-            n_zones=self.n_zones,
-            spares=self.spares,
-            host_policy=self.host_policy,
-            selection_policy=self.selection_policy,
-            prediction_error=self.prediction_error,
-            fault_plan=self.fault_plan,
-            failure_history=self.failure_history,
-            time_limit=self.time_limit,
-            seed=self.seed_base if seed is None else seed,
-        )
+    @property
+    def seed_base(self) -> int:
+        """Seed of the first pool member."""
+        return self.scenario.seed
 
     def scenario_specs(self) -> Tuple[ScenarioSpec, ...]:
         """The seed pool: ``pool`` reference specs at consecutive seeds.
@@ -163,70 +120,40 @@ class QuerySpec:
         """
         qh = self.query_hash()
         return tuple(
-            replace(
-                self._base_spec(self.seed_base + i),
-                name=f"serve:{qh}[seed={self.seed_base + i}]",
-            )
-            for i in range(self.pool)
+            replace(self.scenario, seed=seed,
+                    name=f"serve:{qh}[seed={seed}]")
+            for seed in range(self.seed_base, self.seed_base + self.pool)
         )
 
     # -- serialization ------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
-        """Plain-data form (JSON-safe, round-trips via from_dict)."""
-        d = asdict(self)
-        d["churn"] = [asdict(e) for e in self.churn]
-        d["failure_history"] = [
-            [name, count] for name, count in self.failure_history
-        ]
-        # lists, not tuples: the dict must equal its own JSON round-trip
-        d["fault_plan"]["partition_zones"] = [
-            list(group) for group in self.fault_plan.partition_zones
-        ]
+        """Plain-data form (JSON-safe, round-trips via from_dict): the
+        scenario's, less ``name``/``kind``/``seed``, plus the SLO fields."""
+        d = self.scenario.to_dict()
+        del d["name"], d["kind"], d["seed"]
+        d.update(deadline=self.deadline, percentile=self.percentile,
+                 pool=self.pool, seed_base=self.seed_base)
         return d
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "QuerySpec":
-        """Rebuild a query from its to_dict() form.
-
-        Unknown keys are rejected (a typo'd field in a wire request
-        must not silently price a different query), as are non-mapping
-        sub-plan payloads.
-        """
+        """Rebuild a query from its to_dict() form, strictly: a typo'd
+        field must not silently price a different query."""
         if not isinstance(data, Mapping):
             raise ValueError(f"query must be an object, got {type(data).__name__}")
         d = dict(data)
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(d) - known)
+        slo = {k: d.pop(k) for k in _SLO_FIELDS if k in d}
+        unknown = sorted(
+            set(d) & _FIXED | set(d) - {f.name for f in fields(ScenarioSpec)}
+        )
         if unknown:
-            raise ValueError(
-                f"unknown query field(s): {', '.join(unknown)}"
-            )
-        plans = {
-            "workload": WorkloadPlan, "platform": PlatformPlan,
-            "protocol": ProtocolPlan, "tcp": TcpPlan, "timers": TimerPlan,
-            "churn_profile": ChurnProfile, "recovery": RecoveryPlan,
-            "prediction_error": PredictionErrorPlan,
-            "fault_plan": NetworkFaultPlan,
-        }
-        for name, plan_cls in plans.items():
-            if name in d:
-                sub = d[name]
-                if not isinstance(sub, Mapping):
-                    raise ValueError(f"query field {name!r} must be an object")
-                try:
-                    d[name] = plan_cls(**sub)
-                except TypeError as exc:
-                    raise ValueError(f"bad {name!r} payload: {exc}") from None
-        if "churn" in d:
-            events = d["churn"]
-            if not isinstance(events, Sequence) or isinstance(events, str):
-                raise ValueError("query field 'churn' must be an array")
-            try:
-                d["churn"] = tuple(ChurnEventSpec(**e) for e in events)
-            except TypeError as exc:
-                raise ValueError(f"bad 'churn' payload: {exc}") from None
+            raise ValueError(f"unknown query field(s): {', '.join(unknown)}")
+        scenario = ScenarioSpec.from_dict(dict(
+            d, name="serve", kind="reference",
+            seed=slo.pop("seed_base", ScenarioSpec.seed),
+        ))
         try:
-            return cls(**d)
+            return cls(scenario=scenario, **slo)
         except TypeError as exc:
             raise ValueError(f"bad query payload: {exc}") from None
 
@@ -252,18 +179,13 @@ class QuerySpec:
     # -- grid-style overrides ----------------------------------------------
     def with_override(self, path: str, value: Any) -> "QuerySpec":
         """A copy with one (possibly dotted) field replaced — the same
-        override grammar the scenarios CLI uses for ``--set``."""
-        head, _, rest = path.partition(".")
-        names = {f.name for f in fields(self)}
-        if head not in names:
-            raise KeyError(f"unknown query field {head!r}")
-        if not rest:
-            return replace(self, **{head: value})
-        sub = getattr(self, head)
-        sub_names = {f.name for f in fields(sub)}
-        if rest not in sub_names:
-            raise KeyError(f"unknown field {rest!r} in {head}")
-        return replace(self, **{head: replace(sub, **{rest: value})})
+        override grammar the scenarios CLI uses for ``--set``: an SLO
+        field here, any other path on the scenario."""
+        if path in _SLO_FIELDS:
+            return replace(self, **{path: value})
+        if path.partition(".")[0] in _FIXED:
+            raise KeyError(f"unknown query field {path!r}")
+        return replace(self, scenario=self.scenario.with_override(path, value))
 
 
 @dataclass

@@ -79,9 +79,10 @@ class TestServeQueryParity:
     def test_overrides_arrive_typed(self):
         query = self._query("n_peers=8", "workload.level=O3",
                             "time_limit=2.5")
-        assert query.n_peers == 8 and type(query.n_peers) is int
-        assert query.workload.level == "O3"
-        assert query.time_limit == 2.5
+        spec = query.scenario
+        assert spec.n_peers == 8 and type(spec.n_peers) is int
+        assert spec.workload.level == "O3"
+        assert spec.time_limit == 2.5
 
     def test_boolean_override_is_a_real_bool(self):
         # the spec rejects non-bool election values outright, so this
@@ -90,7 +91,7 @@ class TestServeQueryParity:
         # cross-field guard)
         query = self._query("churn_profile.rejoin_rate=0.5",
                             "recovery.election=true")
-        assert query.recovery.election is True
+        assert query.scenario.recovery.election is True
 
     def test_malformed_set_is_a_clean_usage_error(self):
         from repro.serve.cli import _UsageError

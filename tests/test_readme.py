@@ -10,6 +10,8 @@ import re
 import shlex
 from pathlib import Path
 
+import pytest
+
 README = Path(__file__).parent.parent / "README.md"
 
 
@@ -52,11 +54,11 @@ def test_docs_references_resolve_both_ways():
     assert "fault-grid.md" in readme_refs
 
 
-def _readme_cli_lines(module="repro.scenarios"):
-    """`python -m <module> …` commands from README bash blocks, with
-    backslash continuations joined, comments and env-var prefixes
-    stripped."""
-    blocks = re.findall(r"```bash\n(.*?)```", README.read_text(), re.DOTALL)
+def _readme_cli_lines(module="repro.scenarios", source=README):
+    """`python -m <module> …` commands from the bash blocks of
+    ``source`` (the README by default), with backslash continuations
+    joined, comments and env-var prefixes stripped."""
+    blocks = re.findall(r"```bash\n(.*?)```", source.read_text(), re.DOTALL)
     lines, buf = [], ""
     for block in blocks:
         for raw in block.splitlines():
@@ -98,23 +100,24 @@ def test_readme_cli_examples_stay_runnable(capsys):
             capsys.readouterr()
 
 
-def test_readme_serve_examples_stay_parseable():
-    """Every serve-CLI example parses against the real parser, and its
-    --set overrides name real query fields."""
-    from repro.scenarios.cli import _parse_value
-    from repro.serve.cli import build_parser
-    from repro.serve.query import QuerySpec
+@pytest.mark.parametrize("doc", ["README.md", "docs/serving.md",
+                                 "EXPERIMENTS.md"])
+def test_readme_serve_examples_stay_parseable(doc):
+    """Every serve-CLI example in the README and the serving guides
+    parses against the real parser, and a `query` example builds its
+    query exactly as the CLI would — so every --set path names a real
+    query field."""
+    from repro.serve.cli import _build_query, build_parser
 
-    lines = _readme_cli_lines(module="repro.serve")
-    assert lines, "README lost its serve-CLI examples"
+    lines = _readme_cli_lines(module="repro.serve",
+                              source=README.parent / doc)
+    assert lines, f"{doc} lost its serve-CLI examples"
     parser = build_parser()
-    probe = QuerySpec(deadline=1.0)
     for line in lines:
         argv = shlex.split(line)[3:]  # drop `python -m repro.serve`
         args = parser.parse_args(argv)  # SystemExit(2) = stale example
-        for pair in getattr(args, "set", None) or []:
-            path, _, value = pair.partition("=")
-            probe.with_override(path, _parse_value(value))  # KeyError = stale
+        if args.command == "query":
+            _build_query(args)  # _UsageError = stale --set path
 
 
 def test_readme_fleet_examples_stay_parseable():

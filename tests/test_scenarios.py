@@ -110,6 +110,50 @@ class TestSpec:
         )
         assert ScenarioSpec.from_dict(spec.to_dict()) == spec
 
+    def test_from_dict_is_strict(self):
+        """Unknown fields and malformed sub-plans are ValueErrors, not
+        TypeErrors or KeyErrors: wire parsers report them as bad
+        requests."""
+        payload = tiny_spec().to_dict()
+        with pytest.raises(ValueError, match="unknown scenario field"):
+            ScenarioSpec.from_dict(dict(payload, n_peer=2))
+        with pytest.raises(ValueError, match="must be an object"):
+            ScenarioSpec.from_dict(dict(payload, workload="heat"))
+        with pytest.raises(ValueError, match="bad 'platform' payload"):
+            ScenarioSpec.from_dict(dict(payload, platform={"n_hostz": 4}))
+        with pytest.raises(ValueError, match="'churn'"):
+            ScenarioSpec.from_dict(dict(payload, churn={"time": 1.0}))
+        with pytest.raises(ValueError, match="'churn'"):
+            ScenarioSpec.from_dict(dict(payload, churn=[{"when": 1.0}]))
+        with pytest.raises(ValueError, match="must be an object"):
+            ScenarioSpec.from_dict([payload])
+        without_name = dict(payload)
+        del without_name["name"]
+        with pytest.raises(ValueError, match="bad scenario payload"):
+            ScenarioSpec.from_dict(without_name)
+
+    def test_from_dict_defaults_absent_sub_plans(self):
+        """Payloads older than a sub-plan (prediction_error in v5,
+        fault_plan in v6, ...) parse to that sub-plan's default."""
+        spec = tiny_spec()
+        payload = spec.to_dict()
+        for name in ("tcp", "timers", "churn", "churn_profile",
+                     "recovery", "prediction_error", "fault_plan",
+                     "failure_history"):
+            del payload[name]
+        assert ScenarioSpec.from_dict(payload) == spec
+        assert ScenarioSpec.from_dict({"name": "bare"}) == \
+            ScenarioSpec(name="bare")
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_registry_base_specs_round_trip(self, name):
+        # fleet tasks and sweep pool runs ship specs in this form
+        spec = SCENARIOS[name].base
+        wire = json.loads(json.dumps(spec.to_dict()))
+        rebuilt = ScenarioSpec.from_dict(wire)
+        assert rebuilt == spec
+        assert rebuilt.spec_hash() == spec.spec_hash()
+
     def test_validation(self):
         with pytest.raises(ValueError, match="kind"):
             ScenarioSpec(name="x", kind="dream")

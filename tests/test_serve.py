@@ -103,6 +103,9 @@ def test_query_spec_validation():
         tiny_query(pool=0)
     with pytest.raises(ValueError):
         tiny_query(seed_base=-1)
+    for bad in ({"pool": 2.0}, {"pool": True}, {"seed_base": 2011.5}):
+        with pytest.raises(ValueError, match="integer"):
+            tiny_query(**bad)
     # cross-field guards delegate to ScenarioSpec
     with pytest.raises(ValueError):
         tiny_query(host_policy="bogus")
@@ -137,12 +140,17 @@ def test_query_spec_rejects_unknown_fields():
 
 def test_query_spec_overrides():
     q = tiny_query().with_override("workload.level", "O3")
-    assert q.workload.level == "O3"
-    assert q.with_override("n_peers", 4).n_peers == 4
+    assert q.scenario.workload.level == "O3"
+    assert q.with_override("n_peers", 4).scenario.n_peers == 4
+    moved = q.with_override("seed_base", 7).with_override("deadline", 2.0)
+    assert moved.seed_base == 7 and moved.deadline == 2.0
+    assert [s.seed for s in moved.scenario_specs()] == [7, 8, 9]
     with pytest.raises(KeyError):
         tiny_query().with_override("nope", 1)
     with pytest.raises(KeyError):
         tiny_query().with_override("workload.nope", 1)
+    with pytest.raises(ValueError):
+        tiny_query().with_override("seed_base", -1)
 
 
 def test_scenario_pool_shape():
@@ -159,38 +167,99 @@ def test_scenario_pool_shape():
         [s.spec_hash() for s in other.scenario_specs()]
 
 
-def test_query_spec_mirrors_scenario_spec_fields():
-    """Field-for-field parity with ScenarioSpec: every scenario-shaping
-    axis a sweep exposes must be queryable, or 'query the grid you
-    just swept' silently stops holding for a new axis."""
+#: A valid non-default value, in wire form, for every scenario field a
+#: query takes; sub-plans list only the sub-fields they change.
+#: Applied in ScenarioSpec field order, every prefix is a valid spec
+#: (churn_profile.rejoin_rate before recovery.election,
+#: selection_policy before prediction_error).
+NON_DEFAULT = {
+    "platform": {"kind": "lan", "n_hosts": 16},
+    "workload": {"app": "heat", "n": 64, "nit": 20, "level": "O3"},
+    "protocol": {"scheme": "async", "cmax": 8},
+    "tcp": {"window": 65536.0},
+    "timers": {"peer_expiry": 90.0},
+    "churn": [{"time": 0.5, "kind": "tracker", "target": ""}],
+    "churn_profile": {"rate": 0.2, "rejoin_rate": 0.5},
+    "recovery": {"election": True},
+    "fault_plan": {"loss": 0.05, "partition_duration": 2.0,
+                   "partition_zones": [[0], [1]]},
+    "n_peers": 3,
+    "deploy_peers": 6,
+    "n_zones": 2,
+    "spares": 1,
+    "host_policy": "spread",
+    "selection_policy": "predicted",
+    "prediction_error": {"kind": "flip", "level": 0.5},
+    "failure_history": [["peer-3", 2]],
+    "time_limit": 30.0,
+}
+
+
+def _wire_value(spec, name):
+    got = spec.to_dict()[name]
+    want = NON_DEFAULT[name]
+    return {k: got[k] for k in want} if isinstance(want, dict) else got
+
+
+def test_every_scenario_field_is_queryable():
+    """Every scenario-shaping axis a sweep exposes is queryable — set
+    through the wire form or a --set override, it reaches every pool
+    member — so 'query the grid you just swept' holds for a new axis
+    with no serve-side edit."""
     from dataclasses import fields
 
     from repro.scenarios.spec import ScenarioSpec
 
-    scenario_fields = {f.name for f in fields(ScenarioSpec)}
-    query_fields = {f.name for f in fields(QuerySpec)}
-    slo_only = {"deadline", "percentile", "pool", "seed_base"}
     fixed = {"name", "kind", "seed"}  # derived per pool member
-    assert scenario_fields - query_fields == fixed
-    assert query_fields - scenario_fields == slo_only
-    # the compound fields survive the wire (lists back to canonical
-    # tuples, sub-plan dicts back to frozen plans)
-    q = tiny_query(
-        churn=[{"time": 0.5, "kind": "tracker"}],
-        failure_history=[["peer-3", 2]],
-        deploy_peers=4, n_zones=2,
-    )
-    again = QuerySpec.from_dict(json.loads(json.dumps(q.to_dict())))
-    assert again == q and again.query_hash() == q.query_hash()
-    assert again.failure_history == (("peer-3", 2),)
-    base = q._base_spec()
-    assert base.deploy_peers == 4 and base.n_zones == 2
-    assert base.churn == q.churn
+    assert set(NON_DEFAULT) == {f.name for f in fields(ScenarioSpec)} - fixed
+    default = ScenarioSpec(name="default")
+    wire = QuerySpec.from_dict(dict(NON_DEFAULT, deadline=1.0))
+    overridden = QuerySpec(deadline=1.0)
+    for f in fields(ScenarioSpec):
+        if f.name in fixed:
+            continue
+        value = NON_DEFAULT[f.name]
+        if isinstance(value, dict):
+            for sub, v in value.items():
+                overridden = overridden.with_override(f"{f.name}.{sub}", v)
+        else:
+            overridden = overridden.with_override(
+                f.name, getattr(wire.scenario, f.name)
+            )
+    assert overridden == wire
+    again = QuerySpec.from_dict(json.loads(json.dumps(wire.to_dict())))
+    assert again == wire and again.query_hash() == wire.query_hash()
+    for query in (wire, overridden, again):
+        members = query.scenario_specs()
+        assert len(members) == query.pool
+        for name in NON_DEFAULT:
+            for spec in members:
+                assert getattr(spec, name) != getattr(default, name), name
+                assert _wire_value(spec, name) == NON_DEFAULT[name], name
+    # the fixed fields are not query fields, on the wire or as --set
+    for name in sorted(fixed):
+        with pytest.raises(ValueError, match="unknown query field"):
+            QuerySpec.from_dict(dict(TINY, **{name: 5}))
+        with pytest.raises(KeyError):
+            tiny_query().with_override(name, 5)
+        with pytest.raises(TypeError):
+            QuerySpec(deadline=1.0, **{name: 5})
     with pytest.raises(ValueError, match="'churn'"):
         QuerySpec.from_dict(dict(TINY, churn=[{"when": 1.0}]))
-    # prediction_error's cross-field guard rides through _base_spec
+    # prediction_error's cross-field guard is ScenarioSpec's
     with pytest.raises(ValueError, match="predicted"):
         tiny_query(prediction_error={"kind": "noise", "level": 0.5})
+
+
+def test_serve_cli_rejects_seed_override():
+    import argparse
+
+    from repro.serve.cli import _UsageError, _build_query
+
+    args = argparse.Namespace(deadline=1.0, percentile=90.0, pool=3,
+                              seed_base=2011, set=["seed=5"])
+    with pytest.raises(_UsageError, match="seed"):
+        _build_query(args)
 
 
 def test_sweep_results_reused_by_daemon(tmp_path):
@@ -516,6 +585,15 @@ def test_daemon_survives_garbage_and_keeps_serving(daemon):
         assert reply["ok"] is False
         assert reply["error"] == "bad-query"
         assert "deadlien" in reply["detail"]
+        # a non-integer pool or seed base is the client's error too,
+        # not an internal one
+        for bad in ({"pool": 2.0}, {"seed_base": 2011.5},
+                    {"workload": "heat"}):
+            reply = client.request({"op": "query",
+                                    "query": dict(TINY, **bad)})
+            assert reply["error"] == "bad-query", bad
+        stats = client.request({"op": "stats"})["stats"]
+        assert stats.get("internal_errors", 0) == 0
         assert client.request({"op": "ping"})["ok"] is True
 
 
@@ -587,6 +665,18 @@ def test_daemon_price_op_validation(daemon):
         )
         assert reply["ok"] is True
         assert reply["priced"][0]["makespan"] > 0
+        # malformed counts and sub-plans are the client's error, not
+        # the daemon's: bad-request, no internal-error bump
+        good = {"op": "price", "platform": TINY["platform"],
+                "workloads": [TINY["workload"]]}
+        for bad in ({"n_peers": "2"}, {"pool": "4"}, {"n_peers": None},
+                    {"n_peers": True}, {"pool": 4.0},
+                    {"platform": "cluster"}, {"platform": {"n_hostz": 8}},
+                    {"workloads": ["heat"]}):
+            reply = client.request(dict(good, **bad))
+            assert reply["error"] == "bad-request", bad
+        stats = client.request({"op": "stats"})["stats"]
+        assert stats.get("internal_errors", 0) == 0
 
 
 def test_daemon_over_unix_socket(tmp_path):
