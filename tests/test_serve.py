@@ -461,6 +461,40 @@ def test_engine_lru_eviction_falls_back_to_disk(tmp_path):
     assert again.canonical_json() == a1.canonical_json()
 
 
+def test_engine_store_tier_promotes_into_result_cache(tmp_path):
+    """A pool only a fleet recorded (result-store log, no per-spec
+    cache files) answers from the store tier, and the promotion writes
+    each member's result-cache file: the next engine over the same
+    directory reads the faster tier and never re-probes the store."""
+    from repro.fleet.store import ResultStore
+    from repro.scenarios.runner import ResultCache
+
+    q = tiny_query()
+    specs = q.scenario_specs()
+    store = ResultStore(tmp_path)
+    for spec in specs:
+        store.record(spec, run_scenario(spec), label="fleet",
+                     scenario="tiny")
+    clear_memo()
+    assert len(ResultCache(tmp_path)) == 0
+
+    first = QueryEngine(cache_dir=tmp_path)
+    answer = first.answer(q)
+    assert first.stats.get("store_hits") == q.pool
+    assert first.stats.get("scenario_runs") == 0
+    assert first.stats.get("result_disk_hits") == 0
+    cache = ResultCache(tmp_path)
+    assert all(cache.get(spec) is not None for spec in specs)
+
+    clear_memo()  # a new process
+    second = QueryEngine(cache_dir=tmp_path)
+    again = second.answer(q.with_override("percentile", 50.0))
+    assert second.stats.get("result_disk_hits") == q.pool
+    assert second.stats.get("store_hits") == 0
+    assert second.stats.get("scenario_runs") == 0
+    assert answer.pool == again.pool == q.pool
+
+
 def test_engine_memory_only_mode():
     clear_memo()
     engine = QueryEngine(cache_dir=None)
