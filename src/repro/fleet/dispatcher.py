@@ -40,7 +40,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from ..scenarios import manifest as sweep_manifest
 from ..scenarios import workloads
-from ..scenarios.runner import ResultCache, ScenarioResult, cached_result
+from ..scenarios.runner import ResultCache, ScenarioResult, lookup, trace_dir
 from ..scenarios.spec import ScenarioSpec
 from .protocol import (
     DEFAULT_BACKOFF_BASE,
@@ -217,7 +217,7 @@ class FleetDispatcher:
             if i in done:
                 hits += 1  # resumed from a previous run of this fleet
                 continue
-            result = cached_result(spec, cache)
+            result, _tier = lookup(spec, cache)
             if result is not None:
                 self.dirs.mark_done({
                     "index": i, "name": spec.name,
@@ -317,7 +317,7 @@ class FleetDispatcher:
             # the dPerf calibration, paid once into the trace cache;
             # no platform builds — fresh worker processes could not
             # inherit them
-            workloads.prime_traces(self.specs, self.cache_dir / "traces")
+            workloads.prime_traces(self.specs, trace_dir(cache))
             for _ in range(min(self.workers, unresolved)):
                 self._spawn_worker()
         try:

@@ -38,7 +38,6 @@ import traceback
 from pathlib import Path
 from typing import Any, Dict, Optional
 
-from ..scenarios import workloads
 from ..scenarios.runner import ResultCache, run_cached
 from ..scenarios.spec import ScenarioSpec
 from .protocol import (
@@ -91,7 +90,6 @@ class FleetWorker:
         cache_root = Path(cache_dir) if cache_dir is not None \
             else self.dirs.root.parent.parent
         self.cache = ResultCache(cache_root)
-        workloads.set_trace_cache_dir(str(cache_root / "traces"))
         self.points_done = 0
         self._current: Optional[int] = None
         self._beat_stop = threading.Event()

@@ -64,7 +64,7 @@ from .messages import (
     SubtaskMsg,
     SubtaskResult,
 )
-from .peer import Peer
+from .peer import Peer, all_or_timeout
 from .prediction import (
     candidate_groups,
     oracle_makespan,
@@ -362,7 +362,7 @@ class Submitter(Peer):
                 self.send_critical(coord,
                                    GroupAssign(self.ref, task_id=task_id,
                                                group_index=gi, peers=group))
-            readies = yield _all_of_with_timeout(
+            readies = yield all_or_timeout(
                 self.sim, ready_sigs, self.overlay.config.reserve_timeout * 3
             )
             if readies == "timeout":
@@ -841,17 +841,3 @@ class Submitter(Peer):
         for keyed in (self._task_group_ranks, self._coord_successor):
             for key in [k for k in keyed if k[0] == task_id]:
                 del keyed[key]
-
-
-def _all_of_with_timeout(sim, signals, timeout):
-    """Process helper: yields the list of signal values, or "timeout"."""
-    from ..desim import AllOf
-
-    done = Signal("allof-timeout")
-    all_of = AllOf(signals)
-    all_of._subscribe(
-        lambda s: done.succeed(s._value) if not done.triggered else None
-    )
-    sim.schedule(timeout, lambda: done.succeed("timeout")
-                 if not done.triggered else None)
-    return done

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..desim import AnyOf, Signal
+from ..desim import Signal
 from .computation import PeerComputeError, SubtaskExecution, WorkAssignment
 from .ip import proximity
 from .messages import (
@@ -386,10 +386,9 @@ class Peer(NodeActor):
                                             coordinator=self.ref))
             pending.append((ref, sig))
         if pending:
-            yield AnyOf([  # wait for all acks or the timeout, whichever first
-                _all_or_timeout(self.sim, [s for _r, s in pending],
-                                cfg.reserve_timeout)
-            ])
+            # wait for all acks or the timeout, whichever first
+            yield all_or_timeout(self.sim, [s for _r, s in pending],
+                                 cfg.reserve_timeout)
         for ref, sig in pending:
             if sig.triggered and sig.ok and sig._value:
                 duty.reserved.append(ref)
@@ -835,14 +834,15 @@ class Peer(NodeActor):
         self._try_join()
 
 
-def _all_or_timeout(sim, signals, timeout):
-    """A signal that fires when all of ``signals`` fire or after
-    ``timeout`` — whichever comes first."""
+def all_or_timeout(sim, signals, timeout):
+    """A signal that fires with the list of ``signals``' values once
+    all of them fire, or with ``"timeout"`` after ``timeout`` —
+    whichever comes first."""
     from ..desim import AllOf
 
     done = Signal("all-or-timeout")
     AllOf(signals)._subscribe(
-        lambda _s: done.succeed("all") if not done.triggered else None
+        lambda s: done.succeed(s._value) if not done.triggered else None
     )
     sim.schedule(timeout, lambda: done.succeed("timeout")
                  if not done.triggered else None)

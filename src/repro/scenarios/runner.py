@@ -5,12 +5,16 @@
 produces byte-identical results, which is what makes the two cache
 levels sound:
 
-* an in-process memo (dict keyed by spec hash) shared by every caller
-  in this interpreter — the experiment runners and the test suite ride
-  on it;
+* an in-process memo (a bounded LRU keyed by spec hash) shared by
+  every caller in this interpreter — the experiment runners and the
+  test suite ride on it;
 * an optional on-disk JSON cache (one file per spec hash) that
   survives processes, so a repeated sweep is served without
   recomputing anything.
+
+:func:`resolve` is the one path to a result (memo → result cache →
+result store → simulation) for sweeps, fleets and serve; its
+simulation step keeps the dPerf trace cache at ``<cache root>/traces``.
 
 ``SweepRunner`` expands parameter grids and executes cache misses
 through a ``ProcessPoolExecutor``; because the runner is pure, the
@@ -44,19 +48,56 @@ import logging
 import math
 import os
 import tempfile
+from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, field
 from itertools import product
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from threading import Lock
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .spec import ScenarioSpec
 
-#: In-process memo: spec hash → result.  Shared by every SweepRunner
-#: and by run_cached, so repeated experiment calls are near-free.
-_MEMO: Dict[str, "ScenarioResult"] = {}
-
 _LOG = logging.getLogger("repro.scenarios.cache")
+
+
+class LruMemo:
+    """A lock-guarded LRU map, the one bounded in-memory memo type:
+    ``get`` refreshes an entry, ``put`` drops the least recently used
+    entries past ``capacity`` and returns how many it dropped."""
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self._data: "OrderedDict[Any, Any]" = OrderedDict()
+        self._lock = Lock()
+
+    def get(self, key: Any) -> Any:
+        with self._lock:
+            value = self._data.get(key)
+            if value is not None:
+                self._data.move_to_end(key)
+            return value
+
+    def put(self, key: Any, value: Any) -> int:
+        with self._lock:
+            self._data[key] = value
+            self._data.move_to_end(key)
+            evicted = max(0, len(self._data) - self.capacity)
+            for _ in range(evicted):
+                self._data.popitem(last=False)
+            return evicted
+
+    def clear(self) -> None:
+        with self._lock:
+            self._data.clear()
+
+    def __len__(self) -> int:
+        return len(self._data)
+
+
+#: In-process memo: spec hash → result, shared by every caller of
+#: :func:`resolve` (bounded: a daemon or fleet worker lives long).
+_MEMO = LruMemo(4096)
 
 
 @dataclass
@@ -140,7 +181,7 @@ class _DeployTemplate:
 
 #: Per-process template cache, keyed on the frozen sub-plans that
 #: define the deployment shape.
-_TEMPLATES: Dict[Any, _DeployTemplate] = {}
+_TEMPLATES = LruMemo(32)
 
 
 def _deploy_template(spec: ScenarioSpec) -> _DeployTemplate:
@@ -162,7 +203,7 @@ def _deploy_template(spec: ScenarioSpec) -> _DeployTemplate:
             n_zones=n_zones,
             plan=plan_zones(platform, deploy_n, n_zones),
         )
-        _TEMPLATES[key] = template
+        _TEMPLATES.put(key, template)
     return template
 
 
@@ -607,55 +648,67 @@ class ResultCache(JsonCache):
                    {"spec": spec.hash_payload(), "result": result.to_dict()})
 
 
-def cached_result(
-    spec: ScenarioSpec, cache: Optional[ResultCache] = None
-) -> Optional[ScenarioResult]:
-    """The cache-first lookup: memo → disk, or None on a miss.
+def trace_dir(cache: Optional[ResultCache]) -> Optional[Path]:
+    """``<cache root>/traces``, or None (no trace cache) without one."""
+    return cache.root / "traces" if cache is not None else None
 
-    A disk hit is installed in the memo, so the next lookup is free.
+
+def lookup(spec: ScenarioSpec, cache: Optional[ResultCache] = None,
+           store: Any = None) -> Tuple[Optional[ScenarioResult], Any]:
+    """The cache-first probe: memo → result cache → result store.
+
+    ``(result, tier)`` with tier ``"memo"``, ``"result_disk"`` or
+    ``"store"``, or ``(None, None)``.  A disk hit is memoized; a hit in
+    ``store`` (a :class:`~repro.fleet.store.ResultStore`) is also
+    written to ``cache``, so the next probe never re-scans the store.
     """
     key = spec.spec_hash()
     result = _MEMO.get(key)
-    if result is None and cache is not None:
+    if result is not None:
+        return result, "memo"
+    if cache is not None:
         result = cache.get(spec)
         if result is not None:
-            _MEMO[key] = result
-    return result
+            _MEMO.put(key, result)
+            return result, "result_disk"
+    if store is not None:
+        result = store.get_result(key)
+        if result is not None:
+            _MEMO.put(key, result)
+            if cache is not None:
+                cache.put(spec, result)
+            return result, "store"
+    return None, None
 
 
-def _compute(spec: ScenarioSpec,
-             cache: Optional[ResultCache]) -> ScenarioResult:
-    """Run ``spec``, then memoize and persist the result."""
+def resolve(spec: ScenarioSpec, cache: Optional[ResultCache] = None,
+            store: Any = None) -> Tuple[ScenarioResult, str]:
+    """:func:`lookup`, or a simulation (tier ``"simulate"``) that is
+    memoized and persisted, with dPerf traces under :func:`trace_dir`."""
+    from . import workloads
+
+    result, tier = lookup(spec, cache, store)
+    if result is not None:
+        return result, tier
+    workloads.set_trace_cache_dir(trace_dir(cache))
     result = run_scenario(spec)
-    _MEMO[spec.spec_hash()] = result
+    _MEMO.put(spec.spec_hash(), result)
     if cache is not None:
         cache.put(spec, result)
-    return result
+    return result, "simulate"
 
 
 def run_cached(
     spec: ScenarioSpec, cache: Optional[ResultCache] = None
 ) -> ScenarioResult:
     """Memoized scenario execution: memo → disk cache → compute."""
-    return cached_result(spec, cache) or _compute(spec, cache)
+    return resolve(spec, cache)[0]
 
 
 def memo_get(spec_hash: str) -> Optional["ScenarioResult"]:
-    """The in-process memo entry for ``spec_hash``, or None.
-
-    The serve tier resolves its scenario pools through the memo
-    *explicitly* (memo → disk → compute) instead of via
-    :func:`run_cached`, because it has to count each level's traffic:
-    a memo probe is free, a disk probe bumps the cache's I/O counters,
-    and a compute bumps the daemon's ``scenario_runs`` — the numbers
-    its no-resimulation and syscall-free-hot-path tests pin.
-    """
+    """The in-process memo entry for ``spec_hash``, or None (a peek
+    that reads no disk tier; see :func:`lookup` for the full probe)."""
     return _MEMO.get(spec_hash)
-
-
-def memo_put(spec_hash: str, result: "ScenarioResult") -> None:
-    """Install ``result`` in the in-process memo (see :func:`memo_get`)."""
-    _MEMO[spec_hash] = result
 
 
 def clear_memo() -> None:
@@ -696,11 +749,6 @@ def _pool_run(payload: Dict[str, Any]) -> Dict[str, Any]:
     *before* returning, so a killed sweep (or shard) resumes from
     everything it completed rather than recomputing the whole grid.
     """
-    from . import workloads
-
-    # unconditional: a forked worker inherits the parent's module
-    # global, which may point at a different sweep's cache directory
-    workloads.set_trace_cache_dir(payload.get("trace_cache"))
     spec = ScenarioSpec.from_dict(payload["spec"])
     cache_dir = payload.get("cache_dir")
     cache = ResultCache(cache_dir) if cache_dir else None
@@ -748,9 +796,6 @@ class SweepRunner:
         max_workers: Optional[int] = None,
     ) -> None:
         self.cache = ResultCache(cache_dir) if cache_dir is not None else None
-        self.trace_cache_dir = (
-            str(Path(cache_dir) / "traces") if cache_dir is not None else None
-        )
         self.max_workers = max_workers
         self.hits = 0
         self.misses = 0
@@ -777,7 +822,7 @@ class SweepRunner:
         results: List[Optional[ScenarioResult]] = [None] * len(specs)
         miss_index: Dict[str, List[int]] = {}
         for i, spec in enumerate(specs):
-            cached = cached_result(spec, self.cache)
+            cached, _tier = lookup(spec, self.cache)
             if cached is not None:
                 results[i] = cached
                 self.hits += 1
@@ -788,20 +833,12 @@ class SweepRunner:
         workers = self._effective_workers(len(misses))
         if parallel and workers > 1:
             computed = self._run_pool(misses, workers, on_result)
-            for spec, result in zip(misses, computed):
-                # pool workers already persisted their own results
-                # (run_cached in _pool_run); the parent only memoizes
-                _MEMO[spec.spec_hash()] = result
         else:
-            from . import workloads
-
-            # unconditional: clears a previous runner's directory too
-            workloads.set_trace_cache_dir(self.trace_cache_dir)
             computed = []
             for spec in misses:
                 # persisted per point, before the manifest hook: a
                 # killed serial sweep resumes like a pooled one
-                result = _compute(spec, self.cache)
+                result = run_cached(spec, self.cache)
                 computed.append(result)
                 if on_result is not None:
                     on_result(spec, result)
@@ -815,7 +852,7 @@ class SweepRunner:
         this runner's cache (needs a ``cache_dir``; see
         :func:`union_dir`); the points it holds are then served as
         cache hits.  Returns the results copied."""
-        union_dir(Path(source) / "traces", self.trace_cache_dir, "*.json")
+        union_dir(Path(source) / "traces", trace_dir(self.cache), "*.json")
         return self.cache.absorb(source)
 
     # -- internals ---------------------------------------------------------
@@ -838,7 +875,7 @@ class SweepRunner:
 
         for spec in misses:
             platforms.build_platform(spec.platform)
-        workloads.prime_traces(misses, self.trace_cache_dir)
+        workloads.prime_traces(misses, trace_dir(self.cache))
 
     def _run_pool(
         self, misses: Sequence[ScenarioSpec], workers: int,
@@ -847,8 +884,7 @@ class SweepRunner:
         self._prime_templates(misses)
         cache_dir = str(self.cache.root) if self.cache is not None else None
         payloads = [
-            {"spec": spec.to_dict(), "cache_dir": cache_dir,
-             "trace_cache": self.trace_cache_dir}
+            {"spec": spec.to_dict(), "cache_dir": cache_dir}
             for spec in misses
         ]
         computed: List[Optional[ScenarioResult]] = [None] * len(misses)
@@ -860,6 +896,9 @@ class SweepRunner:
             for future in as_completed(futures):
                 i = futures[future]
                 result = ScenarioResult.from_dict(future.result())
+                # the worker already persisted it (run_cached in
+                # _pool_run); the parent only memoizes
+                _MEMO.put(misses[i].spec_hash(), result)
                 computed[i] = result
                 if on_result is not None:
                     on_result(misses[i], result)

@@ -91,6 +91,16 @@ def _check(value: str, allowed: Tuple[str, ...], what: str) -> None:
         raise ValueError(f"{what} must be one of {allowed}, got {value!r}")
 
 
+def _check_ints(plan: Any) -> None:
+    """Reject a non-``int`` (a float, a bool) in every ``int``-annotated
+    field of ``plan``: ``2.0`` or ``True`` would run like ``2`` or ``1``
+    but hash apart, giving one simulation two cache entries."""
+    for f in fields(plan):
+        value = getattr(plan, f.name)
+        if f.type in ("int", int) and type(value) is not int:
+            raise ValueError(f"{f.name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PlatformPlan:
     """Which simulated platform to build.
@@ -111,6 +121,7 @@ class PlatformPlan:
     hetero_seed: int = 2011
 
     def __post_init__(self) -> None:
+        _check_ints(self)
         _check(self.kind, PLATFORM_KINDS, "platform kind")
         if (self.speed_min > 0) != (self.speed_max > 0):
             raise ValueError("set both speed_min and speed_max, or neither")
@@ -141,6 +152,7 @@ class WorkloadPlan:
     tol: float = 0.0
 
     def __post_init__(self) -> None:
+        _check_ints(self)
         _check(self.app, APPS, "workload app")
         if self.n < 1 or self.nit < 1:
             raise ValueError("workload needs n >= 1 and nit >= 1")
@@ -156,6 +168,7 @@ class ProtocolPlan:
     cmax: int = 32
 
     def __post_init__(self) -> None:
+        _check_ints(self)
         _check(self.scheme, SCHEMES, "scheme")
         _check(self.allocation, ALLOCATIONS, "allocation")
         _check(self.grouping, GROUPINGS, "grouping")
@@ -251,36 +264,17 @@ class ChurnProfile:
     coordinator_churn_rate: float = 0.0  # Poisson coordinator crashes
 
     def __post_init__(self) -> None:
-        if self.rate < 0:
-            raise ValueError(f"churn rate must be >= 0, got {self.rate!r}")
+        _check_ints(self)
+        for name in ("rate", "start", "max_failures", "rejoin_rate",
+                     "rejoin_delay", "tracker_churn_rate",
+                     "coordinator_churn_rate"):
+            if getattr(self, name) < 0:
+                raise ValueError(
+                    f"churn {name} must be >= 0, got {getattr(self, name)!r}"
+                )
         if self.horizon <= 0:
             raise ValueError(
                 f"churn horizon must be > 0, got {self.horizon!r}"
-            )
-        if self.start < 0:
-            raise ValueError(f"churn start must be >= 0, got {self.start!r}")
-        if self.max_failures < 0:
-            raise ValueError(
-                f"churn max_failures must be >= 0, got {self.max_failures!r}"
-            )
-        if self.rejoin_rate < 0:
-            raise ValueError(
-                f"churn rejoin_rate must be >= 0 (0 disables recovery), "
-                f"got {self.rejoin_rate!r}"
-            )
-        if self.rejoin_delay < 0:
-            raise ValueError(
-                f"churn rejoin_delay must be >= 0, got {self.rejoin_delay!r}"
-            )
-        if self.tracker_churn_rate < 0:
-            raise ValueError(
-                f"churn tracker_churn_rate must be >= 0, "
-                f"got {self.tracker_churn_rate!r}"
-            )
-        if self.coordinator_churn_rate < 0:
-            raise ValueError(
-                f"churn coordinator_churn_rate must be >= 0, "
-                f"got {self.coordinator_churn_rate!r}"
             )
 
 
@@ -340,6 +334,7 @@ class PredictionErrorPlan:
     seed: int = 2011
 
     def __post_init__(self) -> None:
+        _check_ints(self)
         _check(self.kind, PREDICTION_ERROR_KINDS, "prediction_error kind")
         if self.level < 0:
             raise ValueError(
@@ -396,6 +391,7 @@ class NetworkFaultPlan:
     seed: int = 2011
 
     def __post_init__(self) -> None:
+        _check_ints(self)
         for name in ("loss", "duplication", "jitter"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
@@ -535,6 +531,7 @@ class ScenarioSpec:
     time_limit: float = 0.0
 
     def __post_init__(self) -> None:
+        _check_ints(self)
         _check(self.kind, SCENARIO_KINDS, "scenario kind")
         _check(self.host_policy, HOST_POLICIES, "host policy")
         _check(self.selection_policy, SELECTION_POLICIES, "selection policy")

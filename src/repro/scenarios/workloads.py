@@ -17,6 +17,7 @@ import hashlib
 import os
 from dataclasses import dataclass
 from functools import lru_cache
+from pathlib import Path
 from typing import Callable, List, Optional, Sequence
 
 from .. import __version__ as _ENGINE_VERSION
@@ -145,9 +146,11 @@ _TRACE_CACHE: Optional[JsonCache] = None
 
 
 def set_trace_cache_dir(path: Optional[os.PathLike | str]) -> None:
-    """Point the persistent trace cache at ``path`` (None disables)."""
+    """Point the persistent trace cache at ``path`` (None disables);
+    the directory already in use keeps its open cache."""
     global _TRACE_CACHE
-    _TRACE_CACHE = JsonCache(path) if path is not None else None
+    if path is None or _TRACE_CACHE is None or _TRACE_CACHE.root != Path(path):
+        _TRACE_CACHE = JsonCache(path) if path is not None else None
 
 
 def _trace_recipe(app: str, nprocs: int, level: str, n: int,

@@ -3,9 +3,9 @@
 :class:`QueryEngine` is the serving tier's in-process core: it opens
 every durable store **once, at startup** — the scenario
 :class:`~repro.scenarios.runner.ResultCache`, the fleet's
-:class:`~repro.fleet.store.ResultStore` log, the on-disk
-:class:`AnswerCache` tier, and the persistent dPerf trace cache — and
-then answers queries through a three-level resolution:
+:class:`~repro.fleet.store.ResultStore` log and the on-disk
+:class:`AnswerCache` tier — and then answers queries through a
+three-level resolution:
 
 1. **LRU answer memo** (in-memory, lock-guarded): the hot path.  A hit
    touches no file, opens nothing, runs nothing — pinned via the
@@ -14,8 +14,9 @@ then answers queries through a three-level resolution:
    query hash): survives restarts, so a killed daemon re-answers its
    whole history without re-simulating anything.
 3. **Compute**: the seed pool's reference scenarios, each resolved
-   through the scenario memo → result cache → result store →
-   simulation, every level counted.
+   by :func:`~repro.scenarios.runner.resolve` (scenario memo → result
+   cache → result store → simulation, dPerf traces under ``traces/``)
+   with one counter bumped for the tier that answered.
 
 Cold computes are serialized behind one lock: the scenario runner's
 shared per-process state (deployment templates, route-intern stores)
@@ -27,25 +28,30 @@ memoized-vs-cold throughput ratio comes from.
 from __future__ import annotations
 
 import time
-from collections import OrderedDict
 from pathlib import Path
-from threading import Lock, RLock
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from threading import Lock
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..p2pdc import GroupPricer
 from ..scenarios import workloads
 from ..scenarios.runner import (
     JsonCache,
+    LruMemo,
     ResultCache,
-    memo_get,
-    memo_put,
-    run_scenario,
+    resolve,
+    run_scenario,  # noqa: F401 — perfbench's tracer wraps it by this name
+    trace_dir,
 )
 from ..scenarios.spec import PlatformPlan, WorkloadPlan
 from .query import Answer, QuerySpec, compute_answer
 
 #: Default capacity of the in-memory answer memo.
 DEFAULT_MEMO_CAPACITY = 4096
+
+#: The ServeStats counter each resolver tier bumps (a scenario-memo
+#: hit bumps none).
+_TIER_COUNTERS = {"result_disk": "result_disk_hits", "store": "store_hits",
+                  "simulate": "scenario_runs"}
 
 
 class ComputeAbandoned(RuntimeError):
@@ -143,8 +149,8 @@ class QueryEngine:
                              f"got {memo_capacity!r}")
         self.stats = ServeStats()
         # every durable store is opened here, once: the per-query cold
-        # path below never constructs a cache or re-points the trace
-        # directory (the hoist the syscall-free hot-path test pins)
+        # path below never constructs a cache (the hoist the
+        # syscall-free hot-path test pins)
         if cache_dir is not None:
             from ..fleet.store import ResultStore
 
@@ -156,14 +162,11 @@ class QueryEngine:
             # the store's spec-hash → result log: results computed
             # by any fleet resolve here without re-simulating
             self.result_store: Optional[ResultStore] = ResultStore(root)
-            workloads.set_trace_cache_dir(root / "traces")
         else:
             self.result_cache = None
             self.answer_cache = None
             self.result_store = None
-        self.memo_capacity = memo_capacity
-        self._memo: "OrderedDict[str, Answer]" = OrderedDict()
-        self._memo_lock = RLock()
+        self._memo = LruMemo(memo_capacity)
         self._compute_lock = Lock()
         self._pricer = GroupPricer()
 
@@ -193,8 +196,7 @@ class QueryEngine:
         from ..scenarios import platforms
 
         platforms.build_platform(query.scenario.platform)
-        w = query.scenario.workload
-        workloads.traces(w.app, query.scenario.n_peers, w.level, w.n, w.nit)
+        workloads.prime_traces([query.scenario], trace_dir(self.result_cache))
 
     # -- the answer path ----------------------------------------------------
     def _check_deadline(self, deadline: Optional[float]) -> None:
@@ -220,12 +222,10 @@ class QueryEngine:
         """
         self.stats.bump("queries")
         qh = query.query_hash()
-        with self._memo_lock:
-            hit = self._memo.get(qh)
-            if hit is not None:
-                self._memo.move_to_end(qh)
-                self.stats.bump("memo_hits")
-                return hit
+        hit = self._memo.get(qh)
+        if hit is not None:
+            self.stats.bump("memo_hits")
+            return hit
         if self.answer_cache is not None:
             answer = self.answer_cache.get(query)
             if answer is not None:
@@ -239,12 +239,10 @@ class QueryEngine:
             self._check_deadline(deadline)
             # double-checked: a concurrent thread may have computed
             # this exact query while we waited on the lock
-            with self._memo_lock:
-                hit = self._memo.get(qh)
-                if hit is not None:
-                    self._memo.move_to_end(qh)
-                    self.stats.bump("memo_hits")
-                    return hit
+            hit = self._memo.get(qh)
+            if hit is not None:
+                self.stats.bump("memo_hits")
+                return hit
             answer = self._compute(query, deadline)
         if self.answer_cache is not None:
             self.answer_cache.put(query, answer)
@@ -258,47 +256,25 @@ class QueryEngine:
 
     def _compute(self, query: QuerySpec,
                  deadline: Optional[float] = None) -> Answer:
-        """Price the seed pool (each level of the scenario stack
-        counted: memo probe free, disk probes counted by the caches,
-        store probe bumps ``store_hits``, simulation bumps
-        ``scenario_runs``).  The deadline is consulted between pool
-        members: one scenario run is the staleness bound."""
+        """Price the seed pool, resolving each member through the
+        shared resolver and counting the tier that answered (a memo
+        hit is free and uncounted).  The deadline is consulted between
+        pool members: one scenario run is the staleness bound."""
         self.stats.bump("computed")
         results = []
         for spec in query.scenario_specs():
             self._check_deadline(deadline)
-            key = spec.spec_hash()
-            result = memo_get(key)
-            if result is None and self.result_cache is not None:
-                result = self.result_cache.get(spec)
-                if result is not None:
-                    self.stats.bump("result_disk_hits")
-                    memo_put(key, result)
-            if result is None and self.result_store is not None:
-                result = self.result_store.get_result(key)
-                if result is not None:
-                    # promote the store hit into the faster tiers so
-                    # the next probe never re-scans the index
-                    self.stats.bump("store_hits")
-                    memo_put(key, result)
-                    if self.result_cache is not None:
-                        self.result_cache.put(spec, result)
-            if result is None:
-                self.stats.bump("scenario_runs")
-                result = run_scenario(spec)
-                memo_put(key, result)
-                if self.result_cache is not None:
-                    self.result_cache.put(spec, result)
+            result, tier = resolve(spec, self.result_cache,
+                                   self.result_store)
+            if tier in _TIER_COUNTERS:
+                self.stats.bump(_TIER_COUNTERS[tier])
             results.append(result)
         return compute_answer(query, results)
 
     def _memo_insert(self, qh: str, answer: Answer) -> None:
-        with self._memo_lock:
-            self._memo[qh] = answer
-            self._memo.move_to_end(qh)
-            while len(self._memo) > self.memo_capacity:
-                self._memo.popitem(last=False)
-                self.stats.bump("memo_evictions")
+        evicted = self._memo.put(qh, answer)
+        if evicted:
+            self.stats.bump("memo_evictions", evicted)
 
     # -- batch pricing (the analytic fast path) -----------------------------
     def price_batch(

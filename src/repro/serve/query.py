@@ -94,14 +94,12 @@ class QuerySpec:
             raise ValueError(
                 f"percentile must be in (0, 100], got {percentile!r}"
             )
-        # both feed range(): a float off the wire is a bad query, not
-        # an internal error
-        for name, value, low in (("pool", pool, 1),
-                                 ("seed_base", scenario.seed, 0)):
-            if type(value) is not int or value < low:
-                raise ValueError(
-                    f"{name} must be an integer >= {low}, got {value!r}"
-                )
+        # pool feeds range(): a float off the wire is a bad query, not
+        # an internal error (the scenario checks its own int fields)
+        if type(pool) is not int or pool < 1:
+            raise ValueError(f"pool must be an integer >= 1, got {pool!r}")
+        if scenario.seed < 0:
+            raise ValueError(f"seed_base must be >= 0, got {scenario.seed!r}")
         # frozen: write the fields past the dataclass __setattr__ guard
         self.__dict__.update(deadline=deadline, percentile=percentile,
                              pool=pool, scenario=scenario)

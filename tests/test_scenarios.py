@@ -5,6 +5,7 @@ parallel/serial/cache matrix stays cheap — the engine is the subject
 here, not the workload.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -22,6 +23,7 @@ from repro.scenarios import (
 )
 from repro.scenarios.runner import clear_memo
 from repro.scenarios.spec import (
+    SUB_PLANS,
     ChurnEventSpec,
     PlatformPlan,
     ProtocolPlan,
@@ -161,6 +163,31 @@ class TestSpec:
             WorkloadPlan(app="tetris")
         with pytest.raises(ValueError, match="speed_min"):
             PlatformPlan(speed_min=1.0, speed_max=0.5)
+
+    def test_int_fields_reject_floats_and_bools(self):
+        """Every ``int``-annotated field of the spec and its sub-plans
+        takes ints only: ``2.0`` or ``True`` would simulate like ``2``
+        or ``1`` but hash apart, so one run got two cache entries."""
+        checked = 0
+        for plan in (ScenarioSpec, *SUB_PLANS.values()):
+            base = {"name": "x"} if plan is ScenarioSpec else {}
+            for f in dataclasses.fields(plan):
+                if f.type != "int":
+                    continue
+                for bad in (2.0, True):
+                    with pytest.raises(ValueError,
+                                       match=f"^{f.name} must be an int"):
+                        plan(**base, **{f.name: bad})
+                checked += 1
+        assert checked == 16
+        with pytest.raises(ValueError, match="n_peers"):
+            ScenarioSpec.from_dict({"name": "x", "n_peers": 2.0})
+        with pytest.raises(ValueError, match="n_hosts"):
+            ScenarioSpec.from_dict({"name": "x",
+                                    "platform": {"n_hosts": 8.0}})
+        with pytest.raises(ValueError, match="n_peers"):
+            tiny_spec().with_override("n_peers", 4.0)
+        assert ScenarioSpec(name="x", n_peers=2).n_peers == 2
 
     def test_with_override_dotted(self):
         spec = tiny_spec()

@@ -82,8 +82,9 @@ def tiny_query(**overrides):
 
 @pytest.fixture(autouse=True)
 def _isolate_process_globals(monkeypatch):
-    """Counter pins need a cold scenario memo, and engines re-point the
-    process-global trace cache; reset both around every test."""
+    """Counter pins need a cold scenario memo, and an engine's
+    simulations point the process-global trace cache at its cache dir
+    (``runner.resolve``); reset both around every test."""
     clear_memo()
     monkeypatch.setattr(workloads, "_TRACE_CACHE", workloads._TRACE_CACHE)
 
@@ -103,7 +104,12 @@ def test_query_spec_validation():
         tiny_query(pool=0)
     with pytest.raises(ValueError):
         tiny_query(seed_base=-1)
-    for bad in ({"pool": 2.0}, {"pool": True}, {"seed_base": 2011.5}):
+    # a float or bool count would price the same pool under a second
+    # hash, in the SLO fields and in every integer scenario field alike
+    for bad in ({"pool": 2.0}, {"pool": True}, {"seed_base": 2011.5},
+                {"n_peers": 2.0}, {"n_peers": True},
+                {"platform": dict(TINY["platform"], n_hosts=8.0)},
+                {"workload": dict(TINY["workload"], nit=20.0)}):
         with pytest.raises(ValueError, match="integer"):
             tiny_query(**bad)
     # cross-field guards delegate to ScenarioSpec
@@ -619,10 +625,10 @@ def test_daemon_survives_garbage_and_keeps_serving(daemon):
         assert reply["ok"] is False
         assert reply["error"] == "bad-query"
         assert "deadlien" in reply["detail"]
-        # a non-integer pool or seed base is the client's error too,
-        # not an internal one
+        # a non-integer pool, seed base or scenario count is the
+        # client's error too, not an internal one
         for bad in ({"pool": 2.0}, {"seed_base": 2011.5},
-                    {"workload": "heat"}):
+                    {"n_peers": 2.0}, {"workload": "heat"}):
             reply = client.request({"op": "query",
                                     "query": dict(TINY, **bad)})
             assert reply["error"] == "bad-query", bad
@@ -706,7 +712,8 @@ def test_daemon_price_op_validation(daemon):
         for bad in ({"n_peers": "2"}, {"pool": "4"}, {"n_peers": None},
                     {"n_peers": True}, {"pool": 4.0},
                     {"platform": "cluster"}, {"platform": {"n_hostz": 8}},
-                    {"workloads": ["heat"]}):
+                    {"platform": {"n_hosts": 8.0}},
+                    {"workloads": ["heat"]}, {"workloads": [{"n": 64.0}]}):
             reply = client.request(dict(good, **bad))
             assert reply["error"] == "bad-request", bad
         stats = client.request({"op": "stats"})["stats"]

@@ -38,7 +38,7 @@ TINY = {
 
 @pytest.fixture
 def slow_scenarios(monkeypatch):
-    """Replace the engine's simulation entry point with a stub that
+    """Replace the resolver's simulation entry point with a stub that
     sleeps a deterministic MEMBER_SECONDS per pool member."""
     clear_memo()
 
@@ -50,7 +50,7 @@ def slow_scenarios(monkeypatch):
             metrics={"completed": 1.0, "makespan": 1.0},
         )
 
-    monkeypatch.setattr("repro.serve.engine.run_scenario", fake_run)
+    monkeypatch.setattr("repro.scenarios.runner.run_scenario", fake_run)
     yield
     clear_memo()
 

@@ -17,7 +17,15 @@ from repro.scenarios import (
     SweepRunner,
     run_scenario,
 )
-from repro.scenarios.runner import atomic_write_text
+from repro.scenarios import runner as runner_mod
+from repro.scenarios.runner import (
+    LruMemo,
+    atomic_write_text,
+    clear_memo,
+    lookup,
+    memo_get,
+    resolve,
+)
 from repro.scenarios.spec import PlatformPlan, WorkloadPlan
 from repro.scenarios import workloads
 
@@ -260,6 +268,111 @@ class TestDeployTemplateCache:
         first = run_scenario(spec)
         second = run_scenario(spec)
         assert first.canonical_json() == second.canonical_json()
+
+
+class TestLruMemo:
+    def test_evicts_least_recently_used_past_capacity(self):
+        memo = LruMemo(2)
+        assert memo.put("a", 1) == memo.put("b", 2) == 0
+        assert memo.get("a") == 1  # refreshes "a"
+        assert memo.put("c", 3) == 1  # drops "b", the least recent
+        assert memo.get("b") is None
+        assert (memo.get("a"), memo.get("c"), len(memo)) == (1, 3, 2)
+        assert memo.put("a", 4) == 0  # a rewrite evicts nothing
+        memo.clear()
+        assert len(memo) == 0
+
+    def test_concurrent_puts_and_gets_keep_the_bound(self):
+        """Serve's request threads share the memos: threads putting and
+        getting the same few keys, so a get often races the eviction of
+        its key, never raise, and the bound holds once they stop."""
+        import sys
+        import threading
+
+        memo, errors = LruMemo(2), []
+
+        def hammer(offset):
+            try:
+                for i in range(5000):
+                    memo.put((offset + i) % 5, i)
+                    memo.get((offset + 3 * i) % 5)
+            except Exception as exc:  # noqa: BLE001 — reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(k,))
+                       for k in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == [] and len(memo) == 2
+
+    def test_evicted_scenario_result_falls_back_to_disk(self, tmp_path,
+                                                        monkeypatch):
+        monkeypatch.setattr(runner_mod, "_MEMO", LruMemo(1))
+        cache = ResultCache(tmp_path)
+        first, second = _spec(seed=1), _spec(seed=2)
+        assert resolve(first, cache)[1] == "simulate"
+        assert resolve(second, cache)[1] == "simulate"  # evicts first
+        assert memo_get(first.spec_hash()) is None
+        assert resolve(first, cache)[1] == "result_disk"
+        assert resolve(first, cache)[1] == "memo"
+
+    def test_templates_are_bounded(self, monkeypatch):
+        monkeypatch.setattr(runner_mod, "_TEMPLATES", LruMemo(1))
+        a = runner_mod._deploy_template(_spec())
+        runner_mod._deploy_template(_spec(n_peers=6))
+        assert runner_mod._deploy_template(_spec()) is not a  # rebuilt
+        assert len(runner_mod._TEMPLATES) == 1
+
+
+class TestResolver:
+    """``lookup``/``resolve``: the one memo → result cache → store →
+    simulate path, and the trace directory that follows the cache."""
+
+    @pytest.fixture(autouse=True)
+    def _isolate(self, monkeypatch):
+        clear_memo()
+        monkeypatch.setattr(workloads, "_TRACE_CACHE", workloads._TRACE_CACHE)
+        yield
+        clear_memo()
+
+    def test_tiers_in_order(self, tmp_path):
+        from repro.fleet.store import ResultStore
+
+        spec = _spec()
+        cache, store = ResultCache(tmp_path / "c"), ResultStore(tmp_path / "s")
+        assert lookup(spec, cache, store) == (None, None)
+        result, tier = resolve(spec, cache)
+        assert tier == "simulate" and cache.get(spec) == result
+        assert resolve(spec, cache) == (result, "memo")
+        clear_memo()
+        assert resolve(spec, cache) == (result, "result_disk")
+        # a store-only result is promoted into the memo and the cache
+        other = _spec(seed=5)
+        store.record(other, run_scenario(other), label="l", scenario="s")
+        assert cache.get(other) is None
+        assert lookup(other, cache, store)[1] == "store"
+        assert cache.get(other) is not None
+        assert lookup(other, cache, store)[1] == "memo"
+
+    def test_trace_dir_follows_the_cache_root(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        resolve(_spec(), cache)
+        opened = workloads._TRACE_CACHE
+        assert opened.root == tmp_path / "traces"
+        resolve(_spec(seed=3), cache)
+        assert workloads._TRACE_CACHE is opened  # unchanged: not reopened
+        resolve(_spec(seed=4))
+        assert workloads._TRACE_CACHE is None  # no cache root, no traces
+        assert resolve(_spec(), cache)[1] == "memo"  # a hit opens none
+        assert workloads._TRACE_CACHE is None
 
 
 class TestReadErrorTaxonomy:
