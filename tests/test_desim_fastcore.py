@@ -10,8 +10,11 @@ callbacks execute, and a churn-heavy scenario produces byte-identical
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.desim import Simulator
+from repro.desim import simulator as simulator_mod
 from repro.desim.simulator import _COMPACT_MIN
 
 
@@ -153,6 +156,138 @@ def test_reschedule_heavy_chain_keeps_heap_small():
         sim.run()
     assert ticks == list(range(2000))
     assert len(sim._agenda) == 0
+
+
+# ---------------------------------------------------------------------------
+# differential: one agenda program, three ways of driving the loop
+# ---------------------------------------------------------------------------
+
+#: few distinct delays, so same-instant ties (seq order) are common
+_DELAYS = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.0, 2.0, 3.5])
+
+_OPS = st.one_of(
+    st.tuples(st.just("schedule"), _DELAYS),
+    st.tuples(st.just("call_later"), _DELAYS),
+    st.tuples(st.just("cancel"), st.integers(0, 63)),
+    st.tuples(st.just("reschedule"), st.integers(0, 63), _DELAYS),
+)
+
+
+def _play(program, n_setup, late, drive):
+    """Build the agenda from ``program`` and hand it to ``drive``.
+
+    The first ``n_setup`` ops run at t=0; every later op runs from the
+    callback of the next event to fire, so the program keeps mutating
+    the agenda (cancelling and re-arming pending handles, which leaves
+    superseded entries on top of the heap) while the loop drains it.
+    A ``late`` timeout is armed first, identically in every mode.
+    """
+    sim = Simulator()
+    timeout = sim.timeout(late, "late")
+    log = []
+    handles = []
+    cursor = iter(program[n_setup:])
+    tags = iter(range(10**6))
+
+    def apply(op):
+        kind = op[0]
+        if kind == "schedule":
+            handles.append(sim.schedule(op[1], fire, next(tags)))
+        elif kind == "call_later":
+            sim.call_later(op[1], fire, next(tags))
+        elif handles and kind == "cancel":
+            handles[op[1] % len(handles)].cancel()
+        elif handles:
+            sim.reschedule(handles[op[1] % len(handles)], op[2], next(tags))
+
+    def fire(tag):
+        log.append((tag, sim.now))
+        op = next(cursor, None)
+        if op is not None:
+            apply(op)
+
+    for op in program[:n_setup]:
+        apply(op)
+    drive(sim, timeout, log)
+    return log, sim.event_count, sim.now
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    program=st.lists(_OPS, min_size=1, max_size=120),
+    n_setup=st.integers(1, 40),
+    late=st.sampled_from([0.0, 1.0, 3.0, 50.0]),
+    cuts=st.lists(st.sampled_from([0.0, 0.25, 0.3, 1.0, 1.7, 2.0, 4.0, 9.0]),
+                  max_size=5),
+    compact_min=st.sampled_from([2, 4, _COMPACT_MIN]),
+)
+def test_run_until_cuts_and_run_until_triggered_match_one_run(
+        program, n_setup, late, cuts, compact_min):
+    """``run()``, ``run(until=...)`` cut into pieces, and
+    ``run_until_triggered`` fire the same events in the same order,
+    count the same events and stop at the same time (a cut past the
+    last event keeps the clock at the cut).  A dead entry on
+    top of the heap never counts as the next event: a cut stops with
+    the clock exactly at the cut and exactly the events at or before
+    it fired."""
+    saved = simulator_mod._COMPACT_MIN
+    simulator_mod._COMPACT_MIN = compact_min  # compact inside the loops
+    try:
+        whole = _play(program, n_setup, late, lambda sim, t, log: sim.run())
+
+        def cut_run(sim, _timeout, log):
+            for cut in sorted(cuts):
+                sim.run(until=cut)
+                assert sim.now == cut
+                assert log == [e for e in whole[0] if e[1] <= cut]
+            sim.run()
+
+        def triggered_run(sim, timeout, log):
+            assert sim.run_until_triggered(timeout) == "late"
+            assert sim.now == late
+            # the timeout holds the first seq: it beats its own instant
+            assert log == [e for e in whole[0] if e[1] < late]
+            sim.run()
+
+        # a cut past the last event leaves the clock at the cut
+        log, count, now = _play(program, n_setup, late, cut_run)
+        assert (log, count) == whole[:2]
+        assert now == max([whole[2], *cuts])
+        assert _play(program, n_setup, late, triggered_run) == whole
+    finally:
+        simulator_mod._COMPACT_MIN = saved
+
+
+def test_dead_top_entry_is_not_the_next_event_for_until():
+    sim = Simulator()
+    fired = []
+    early = sim.schedule(1.0, fired.append, "early")
+    sim.schedule(5.0, fired.append, "live")
+    sim.reschedule(early, 10.0, "moved")  # superseded entry stays on top
+    sim.run(until=2.0)
+    assert fired == [] and sim.now == 2.0 and sim.event_count == 0
+    sim.run()
+    assert fired == ["live", "moved"] and sim.now == 10.0
+
+
+def test_dead_top_entry_is_not_the_next_event_for_limit():
+    sim = Simulator()
+    sim.schedule(1.0, lambda: None).cancel()  # dead entry within limit
+    sim.schedule(5.0, lambda: None)  # first live event beyond it
+    with pytest.raises(RuntimeError, match="time limit"):
+        sim.run_until_triggered(sim.event("never"), limit=2.0)
+    assert sim.event_count == 0 and sim.now == 0.0
+
+
+def test_agenda_of_only_dead_entries_is_a_deadlock():
+    sim = Simulator()
+    call = sim.schedule(1.0, lambda: None)
+    sim.reschedule(call, 2.0)
+    call.cancel()  # two dead entries, nothing live
+    with pytest.raises(RuntimeError, match="deadlock"):
+        sim.run_until_triggered(sim.event("never"))
+    assert sim.event_count == 0 and sim.now == 0.0
+    assert sim.run() == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.desim import AnyOf, Interrupt, Mailbox, Simulator
+from repro.desim import AllOf, AnyOf, Interrupt, Mailbox, Simulator
 
 
 def test_process_runs_and_returns():
@@ -188,6 +188,90 @@ def test_process_zero_duration():
     sim.run()
     assert p.value == "now"
     assert sim.now == 0.0
+
+
+class TestComposition:
+    """Processes and combinators nest: values, ``winner`` and
+    exceptions travel through every layer."""
+
+    def test_allof_over_processes(self):
+        sim = Simulator()
+
+        def worker(delay, result):
+            yield sim.timeout(delay)
+            return result
+
+        procs = [sim.process(worker(d, r))
+                 for d, r in ((3.0, "a"), (1.0, "b"), (2.0, "c"))]
+        all_ = AllOf(procs)
+        assert sim.run_until_triggered(all_) == ["a", "b", "c"]
+        assert sim.now == 3.0
+        assert all_.triggered and all_.exception is None
+
+    def test_anyof_over_failing_process(self):
+        sim = Simulator()
+
+        def doomed():
+            yield sim.timeout(1.0)
+            raise ValueError("worker died")
+
+        def waiter():
+            any_ = AnyOf([sim.timeout(5.0, "slow"), sim.process(doomed())])
+            try:
+                yield any_
+            except ValueError as exc:
+                return any_.winner, str(exc), sim.now
+
+        w = sim.process(waiter())
+        sim.run()
+        assert w.value == (1, "worker died", 1.0)
+
+    def test_failing_child_fails_the_anyof_itself(self):
+        sim = Simulator()
+
+        def doomed():
+            yield sim.timeout(1.0)
+            raise KeyError("k")
+
+        any_ = AnyOf([sim.process(doomed()), sim.timeout(2.0)])
+        sim.run()
+        assert any_.triggered and any_.winner == 0
+        assert isinstance(any_.exception, KeyError)
+        with pytest.raises(KeyError):
+            _ = any_.value
+
+    def test_process_waits_on_allof_of_anyofs(self):
+        sim = Simulator()
+        box = Mailbox()
+
+        def producer():
+            yield sim.timeout(2.0)
+            box.put("msg")
+
+        def consumer():
+            firsts = [AnyOf([sim.timeout(4.0, "t4"), sim.timeout(1.0, "t1")]),
+                      AnyOf([box.get(), sim.timeout(9.0, "t9")])]
+            values = yield AllOf(firsts)
+            return values, [a.winner for a in firsts], sim.now
+
+        sim.process(producer())
+        c = sim.process(consumer())
+        sim.run()
+        assert c.value == ([(1, "t1"), (0, "msg")], [1, 0], 2.0)
+
+    def test_allof_of_anyofs_fails_with_the_first_failure(self):
+        sim = Simulator()
+        bad = sim.event("bad")
+
+        def consumer():
+            yield AllOf([AnyOf([sim.timeout(1.0)]), AnyOf([bad])])
+
+        c = sim.process(consumer())
+        sim.schedule(0.5, bad.fail, RuntimeError("nested"))
+        sim.run()
+        assert isinstance(c.exception, RuntimeError)
+        with pytest.raises(RuntimeError, match="nested"):
+            c.check()
 
 
 class TestMailbox:
