@@ -289,22 +289,13 @@ class SweepComparison:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
-    def to_markdown(self) -> str:
-        """GitHub-flavoured markdown report."""
-        axes = ", ".join(self.shared_axes) or "(whole sweep)"
+    def _table(self) -> Tuple[List[str], List[List[str]]]:
+        """The header and each row's cells, unescaped — the one table
+        layout both :meth:`to_markdown` and :meth:`to_html` render."""
         show_completion = any(
             row.completion_a is not None or row.completion_b is not None
             for row in self.rows
         )
-        lines = [
-            f"# Sweep comparison: `{self.a}` vs `{self.b}`",
-            "",
-            f"- metric: `{self.metric}` "
-            "(mean over completed points of each matched group)",
-            f"- matched on: {axes}",
-            f"- A = `{self.a}`, B = `{self.b}`",
-            "",
-        ]
         header = ["key", "n A", "n B", f"{self.metric} A",
                   f"{self.metric} B", "Δ (B−A)", "B/A"]
         for p in self.percentiles:
@@ -312,8 +303,7 @@ class SweepComparison:
             header += [f"{label} A", f"{label} B"]
         if show_completion:
             header += ["P(complete) A", "P(complete) B"]
-        lines.append("| " + " | ".join(header) + " |")
-        lines.append("|" + "---|" * len(header))
+        table = []
         for row in self.rows:
             key = ", ".join(
                 f"{k}={v}" for k, v in row.key.items()
@@ -328,6 +318,25 @@ class SweepComparison:
                           _fmt(row.pcts_b.get(pct_key(p)))]
             if show_completion:
                 cells += [_fmt(row.completion_a), _fmt(row.completion_b)]
+            table.append(cells)
+        return header, table
+
+    def to_markdown(self) -> str:
+        """GitHub-flavoured markdown report."""
+        axes = ", ".join(self.shared_axes) or "(whole sweep)"
+        lines = [
+            f"# Sweep comparison: `{self.a}` vs `{self.b}`",
+            "",
+            f"- metric: `{self.metric}` "
+            "(mean over completed points of each matched group)",
+            f"- matched on: {axes}",
+            f"- A = `{self.a}`, B = `{self.b}`",
+            "",
+        ]
+        header, table = self._table()
+        lines.append("| " + " | ".join(header) + " |")
+        lines.append("|" + "---|" * len(header))
+        for cells in table:
             lines.append("| " + " | ".join(cells) + " |")
         return "\n".join(lines) + "\n"
 
@@ -355,21 +364,10 @@ class SweepComparison:
         in the same artifact as the regression it caused.
         """
         esc = _html.escape
-        show_completion = any(
-            row.completion_a is not None or row.completion_b is not None
-            for row in self.rows
-        )
-        header = ["key", "n A", "n B", f"{self.metric} A",
-                  f"{self.metric} B", "Δ (B−A)", "B/A"]
-        for p in self.percentiles:
-            label = pct_key(p).upper()
-            header += [f"{label} A", f"{label} B"]
-        if show_completion:
-            header += ["P(complete) A", "P(complete) B"]
-
+        header, table = self._table()
         body_rows: List[str] = []
         regressions = improvements = unmatched = 0
-        for row in self.rows:
+        for row, cells in zip(self.rows, table):
             if row.n_a == 0 or row.n_b == 0:
                 cls, badge = "unmatched", "one side only"
                 unmatched += 1
@@ -383,16 +381,7 @@ class SweepComparison:
                 improvements += 1
             else:
                 cls, badge = "", ""
-            key = ", ".join(f"{k}={v}" for k, v in row.key.items()) \
-                or "(all)"
-            cells = [esc(key), str(row.n_a), str(row.n_b),
-                     _fmt(row.mean_a), _fmt(row.mean_b),
-                     _fmt(row.delta), _fmt(row.ratio)]
-            for p in self.percentiles:
-                cells += [_fmt(row.pcts_a.get(pct_key(p))),
-                          _fmt(row.pcts_b.get(pct_key(p)))]
-            if show_completion:
-                cells += [_fmt(row.completion_a), _fmt(row.completion_b)]
+            cells = [esc(c) for c in cells]
             if badge:
                 # the B/A cell carries the regression badge
                 cells[6] += f' <span class="badge">{esc(badge)}</span>'

@@ -8,9 +8,13 @@ Public surface::
         ...
     p = sim.process(proc())
     sim.run()
+
+Everything a process may ``yield`` is a :class:`Signal`: timeouts,
+mailbox gets, :class:`AnyOf` / :class:`AllOf` composites, and
+:class:`Process` itself.
 """
 
-from .events import AllOf, AnyOf, Signal, Waitable
+from .events import AllOf, AnyOf, Signal
 from .mailbox import Mailbox
 from .process import Interrupt, Process
 from .rng import RngRegistry, derive_seed
@@ -26,6 +30,5 @@ __all__ = [
     "ScheduledCall",
     "Signal",
     "Simulator",
-    "Waitable",
     "derive_seed",
 ]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Any, Generator, Optional
 
-from .events import Signal, Waitable
+from .events import Signal
 
 
 class Interrupt(Exception):
@@ -18,17 +18,16 @@ class Interrupt(Exception):
         self.cause = cause
 
 
-class Process(Waitable):
+class Process(Signal):
     """Drives a generator, resuming it whenever its awaited signal fires.
 
-    A ``Process`` is itself waitable: it triggers when the generator
+    A ``Process`` is itself a signal: it triggers when the generator
     returns (value = return value) or raises (failure).  Uncaught
     process exceptions propagate to whoever waits on the process; if
-    nobody does, :meth:`check` re-raises on demand and the simulator's
-    callback raises at the point of death, which makes bugs loud.
+    nobody does, :meth:`check` re-raises on demand.
     """
 
-    __slots__ = ("sim", "name", "_gen", "_done", "_waiting_on", "_interrupt_pending")
+    __slots__ = ("sim", "_gen", "_waiting_on")
 
     def __init__(self, sim, gen: Generator, name: str = "") -> None:
         if not hasattr(gen, "send"):
@@ -36,47 +35,21 @@ class Process(Waitable):
                 f"process body must be a generator, got {type(gen).__name__}; "
                 "did you forget to call the generator function?"
             )
+        Signal.__init__(self, name or getattr(gen, "__name__", "process"))
         self.sim = sim
-        self.name = name or getattr(gen, "__name__", "process")
         self._gen = gen
-        self._done = Signal(f"process:{self.name}")
-        self._waiting_on: Optional[Waitable] = None
-        self._interrupt_pending: Optional[Interrupt] = None
+        self._waiting_on: Optional[Signal] = None
         # First resume happens as a scheduled event at the current time
         # so process creation order, not call-stack depth, decides order.
         sim.call_later(0.0, self._resume, None, None)
 
-    # -- Waitable ---------------------------------------------------------
-    @property
-    def triggered(self) -> bool:
-        return self._done.triggered
-
-    @property
-    def ok(self) -> bool:
-        return self._done.ok
-
-    @property
-    def value(self) -> Any:
-        return self._done.value
-
-    @property
-    def exception(self) -> Optional[BaseException]:
-        return self._done.exception
-
-    @property
-    def _value(self) -> Any:
-        return self._done._value
-
-    def _subscribe(self, callback) -> None:
-        self._done._subscribe(lambda _s: callback(self))
-
     @property
     def alive(self) -> bool:
-        return not self._done.triggered
+        return self._state == Signal._PENDING
 
     # -- driving ----------------------------------------------------------
     def _resume(self, value: Any, exc: Optional[BaseException]) -> None:
-        if self._done.triggered:
+        if self._state != Signal._PENDING:
             return
         self._waiting_on = None
         try:
@@ -85,37 +58,27 @@ class Process(Waitable):
             else:
                 target = self._gen.send(value)
         except StopIteration as stop:
-            self._done.succeed(stop.value)
+            self.succeed(stop.value)
             return
-        except Interrupt as unhandled:
-            self._done.fail(unhandled)
+        except Exception as err:  # Interrupt included
+            self.fail(err)
             return
-        except Exception as err:
-            self._done.fail(err)
-            if self._done._callbacks is None and not _has_waiters(self._done):
-                pass  # outcome recorded; check() surfaces it
-            return
-        if not isinstance(target, Waitable):
-            self._done.fail(
+        if not isinstance(target, Signal):
+            self.fail(
                 TypeError(f"process {self.name!r} yielded non-waitable {target!r}")
             )
             return
         self._waiting_on = target
-        target._subscribe(self._on_wait_done)
+        target._subscribe(self._wake)
 
-    def _on_wait_done(self, waitable: Waitable) -> None:
-        if self._done.triggered:
-            return
+    def _wake(self, waitable: Signal) -> None:
         if self._waiting_on is not waitable:
             return  # stale wake-up after an interrupt re-targeted us
-        if type(waitable) is Signal:  # the hot wait (mailbox, timeout)
-            exc = waitable._exc
-        else:
-            exc = getattr(waitable, "exception", None)
+        exc = waitable._exc
         if exc is not None:
             self._resume(None, exc)
         else:
-            self._resume(getattr(waitable, "_value", None), None)
+            self._resume(waitable._value, None)
 
     # -- interruption -------------------------------------------------------
     def interrupt(self, cause: Any = None) -> None:
@@ -124,26 +87,12 @@ class Process(Waitable):
         Interrupting an already-finished process is a no-op (the usual
         race when a failure arrives as a computation completes).
         """
-        if self._done.triggered:
+        if self._state != Signal._PENDING:
             return
         self._waiting_on = None  # detach: any pending wake-up becomes stale
-        self.sim.call_later(0.0, self._deliver_interrupt, Interrupt(cause))
-
-    def _deliver_interrupt(self, exc: Interrupt) -> None:
-        if self._done.triggered:
-            return
-        self._resume(None, exc)
+        self.sim.call_later(0.0, self._resume, None, Interrupt(cause))
 
     def check(self) -> None:
         """Re-raise the process's exception, if it failed."""
-        if self._done.triggered and self._done.exception is not None:
-            raise self._done.exception
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "done" if self._done.triggered else "alive"
-        return f"<Process {self.name!r} {state}>"
-
-
-def _has_waiters(sig: Signal) -> bool:
-    cbs = sig._callbacks
-    return bool(cbs)
+        if self._exc is not None:
+            raise self._exc

@@ -14,6 +14,8 @@ cancel-heavy workloads (fluid-flow rate changes, ping/timeout chains)
 keep the heap bounded.  :meth:`Simulator.reschedule` re-arms a fired
 or cancelled handle in place: the hot periodic chains reuse one
 :class:`ScheduledCall` per chain instead of allocating one per fire.
+:meth:`Simulator.run` and :meth:`Simulator.run_until_triggered` share
+one loop, and only that loop and the compaction read the entry format.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import heapq
 import math
 from typing import Any, Callable, Generator, Optional
 
-from .events import Signal, Waitable
+from .events import Signal
 
 #: Compaction kicks in once at least this many dead entries have
 #: accumulated *and* they outnumber the live ones (amortized O(1)).
@@ -174,46 +176,6 @@ class Simulator:
         return Process(self, gen, name=name)
 
     # -- main loop ---------------------------------------------------------
-    def peek(self) -> float:
-        """Time of the next event, or ``inf`` when agenda is empty."""
-        agenda = self._agenda
-        while agenda:
-            _time, seq, call = agenda[0]
-            if call.__class__ is tuple:
-                return _time  # call_later one-shot: always live
-            if seq == call.seq and not call.cancelled:
-                return _time
-            heapq.heappop(agenda)
-            self._dead -= 1
-            if seq == call.seq:
-                call.pending = False  # its own (cancelled) entry left
-        return math.inf
-
-    def step(self) -> None:
-        """Execute the single next event."""
-        pop = heapq.heappop
-        agenda = self._agenda
-        while True:
-            time, seq, call = pop(agenda)
-            if call.__class__ is tuple:
-                fn, args = call
-                break
-            if seq != call.seq:  # superseded by reschedule
-                self._dead -= 1
-                continue
-            call.pending = False
-            if call.cancelled:
-                self._dead -= 1
-                continue
-            fn, args = call.fn, call.args
-            break
-        if time < self.now - 1e-12:
-            raise RuntimeError("time went backwards")  # pragma: no cover
-        if time > self.now:
-            self.now = time
-        self.event_count += 1
-        fn(*args)
-
     def run(self, until: Optional[float] = None) -> float:
         """Run until the agenda empties or the clock passes ``until``.
 
@@ -224,64 +186,62 @@ class Simulator:
             raise RuntimeError("run() is not reentrant")
         self._running = True
         try:
-            while self._agenda:
-                nxt = self.peek()
-                if nxt is math.inf:
-                    break
-                if until is not None and nxt > until:
-                    break
-                self.step()
+            self._loop(math.inf if until is None else until, [])
             if until is not None and self.now < until:
                 self.now = until
         finally:
             self._running = False
         return self.now
 
-    def run_until_triggered(self, waitable: Waitable, limit: float = math.inf) -> Any:
+    def run_until_triggered(self, waitable: Signal, limit: float = math.inf) -> Any:
         """Run until ``waitable`` triggers; returns its value.
 
         Raises ``RuntimeError`` if the agenda drains (deadlock) or the
         ``limit`` is passed first.
-
-        This is the reference-execution driver, so the loop is fused:
-        one heap pop per event (no separate peek + step validation)
-        and a subscription flag instead of a ``triggered`` property
-        chain per event.
         """
         if waitable.triggered:
             return waitable.value
         fired: list = []
         waitable._subscribe(fired.append)
+        self._loop(limit, fired)
+        if fired:
+            return waitable.value
+        if self._agenda:  # the loop stopped at a live entry past limit
+            raise RuntimeError(f"time limit {limit:g}s exceeded")
+        raise RuntimeError(
+            f"deadlock: agenda empty at t={self.now:g} while waiting"
+        )
+
+    def _loop(self, until: float, fired: list) -> None:
+        """The event loop: fire events in ``(time, seq)`` order until
+        the agenda drains, the next live event lies past ``until``, or
+        ``fired`` is no longer empty.
+
+        One heap pop per event; dead (cancelled or superseded) entries
+        are dropped as they surface, so they never count as the next
+        event.  On return the agenda is empty, its top entry is live,
+        or ``fired`` holds something.
+        """
         pop = heapq.heappop
         agenda = self._agenda
-        while not fired:
-            while True:
-                if not agenda:
-                    raise RuntimeError(
-                        f"deadlock: agenda empty at t={self.now:g} while waiting"
-                    )
-                time, seq, call = agenda[0]
-                if call.__class__ is tuple:
-                    fn, args = call
-                    break
-                if seq != call.seq:  # superseded by reschedule
-                    pop(agenda)
-                    self._dead -= 1
-                    continue
-                if call.cancelled:
-                    pop(agenda)
-                    self._dead -= 1
-                    call.pending = False
-                    continue
-                fn, args = call.fn, call.args
-                break
-            if time > limit:
-                raise RuntimeError(f"time limit {limit:g}s exceeded")
+        while agenda and not fired:
+            time, seq, call = agenda[0]
+            if call.__class__ is not tuple and (
+                    seq != call.seq or call.cancelled):
+                pop(agenda)
+                self._dead -= 1
+                if seq == call.seq:
+                    call.pending = False  # its own (cancelled) entry left
+                continue
+            if time > until:
+                return
             pop(agenda)
-            if call.__class__ is not tuple:
+            if call.__class__ is tuple:  # call_later one-shot
+                fn, args = call
+            else:
                 call.pending = False
+                fn, args = call.fn, call.args
             if time > self.now:
                 self.now = time
             self.event_count += 1
             fn(*args)
-        return waitable.value

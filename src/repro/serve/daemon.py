@@ -55,7 +55,7 @@ _LOG = logging.getLogger("repro.serve")
 def _count(request: Dict[str, Any], name: str, default: int) -> int:
     value = request.get(name, default)
     if type(value) is not int:  # bools are not counts
-        raise ProtocolError("bad-request", f"{name!r} must be an integer")
+        raise ValueError(f"{name!r} must be an integer")
     return value
 
 
@@ -357,11 +357,8 @@ class ServeDaemon:
                 "batch-too-large",
                 f"batch of {len(raw)} exceeds {MAX_BATCH}",
             )
-        try:
-            platform = parse_plan("platform", request.get("platform", {}))
-            plans = [parse_plan("workload", payload) for payload in raw]
-        except ValueError as exc:
-            raise ProtocolError("bad-request", str(exc)) from None
+        platform = parse_plan("platform", request.get("platform", {}))
+        plans = [parse_plan("workload", payload) for payload in raw]
         n_peers = _count(request, "n_peers", 4)
         pool = _count(request, "pool", max(n_peers, 8))
         priced = self.engine.price_batch(platform, pool, n_peers, plans)

@@ -173,7 +173,50 @@ _OPS = st.one_of(
 )
 
 
-def _play(program, n_setup, late, drive):
+class _ModelCall:
+    def __init__(self, model, fn):
+        self.model, self.fn = model, fn
+
+    def cancel(self):
+        self.model.live.pop(self, None)
+
+
+class _Model:
+    """The agenda's meaning without its mechanics: one entry per live
+    handle (re-arming replaces it, cancelling removes it), and the
+    smallest ``(time, seq)`` fires next.  No heap, no dead entries."""
+
+    def __init__(self):
+        self.now, self.event_count, self.seq, self.live = 0.0, 0, 0, {}
+
+    def _arm(self, key, delay, fn, args):
+        self.seq += 1
+        self.live[key] = (self.now + delay, self.seq, fn, args)
+
+    def schedule(self, delay, fn, *args):
+        call = _ModelCall(self, fn)
+        self._arm(call, delay, fn, args)
+        return call
+
+    def call_later(self, delay, fn, *args):
+        self._arm(object(), delay, fn, args)
+
+    def reschedule(self, call, delay, *args):
+        self._arm(call, delay, call.fn, args)
+
+    def timeout(self, delay, value=None):
+        self.call_later(delay, lambda _value: None, value)
+
+    def run(self):
+        while self.live:
+            key = min(self.live, key=lambda k: self.live[k][:2])
+            time, _seq, fn, args = self.live.pop(key)
+            self.now = max(self.now, time)
+            self.event_count += 1
+            fn(*args)
+
+
+def _play(program, n_setup, late, drive, make=Simulator):
     """Build the agenda from ``program`` and hand it to ``drive``.
 
     The first ``n_setup`` ops run at t=0; every later op runs from the
@@ -182,7 +225,7 @@ def _play(program, n_setup, late, drive):
     superseded entries on top of the heap) while the loop drains it.
     A ``late`` timeout is armed first, identically in every mode.
     """
-    sim = Simulator()
+    sim = make()
     timeout = sim.timeout(late, "late")
     log = []
     handles = []
@@ -223,7 +266,8 @@ def _play(program, n_setup, late, drive):
 )
 def test_run_until_cuts_and_run_until_triggered_match_one_run(
         program, n_setup, late, cuts, compact_min):
-    """``run()``, ``run(until=...)`` cut into pieces, and
+    """``run()`` fires what a heap-free model of the agenda fires, and
+    ``run()``, ``run(until=...)`` cut into pieces, and
     ``run_until_triggered`` fire the same events in the same order,
     count the same events and stop at the same time (a cut past the
     last event keeps the clock at the cut).  A dead entry on
@@ -234,6 +278,8 @@ def test_run_until_cuts_and_run_until_triggered_match_one_run(
     simulator_mod._COMPACT_MIN = compact_min  # compact inside the loops
     try:
         whole = _play(program, n_setup, late, lambda sim, t, log: sim.run())
+        assert _play(program, n_setup, late, lambda sim, t, log: sim.run(),
+                     make=_Model) == whole
 
         def cut_run(sim, _timeout, log):
             for cut in sorted(cuts):
@@ -285,7 +331,8 @@ def test_agenda_of_only_dead_entries_is_a_deadlock():
     sim.reschedule(call, 2.0)
     call.cancel()  # two dead entries, nothing live
     with pytest.raises(RuntimeError, match="deadlock"):
-        sim.run_until_triggered(sim.event("never"))
+        # the dead entries lie past the limit: still no live event
+        sim.run_until_triggered(sim.event("never"), limit=0.5)
     assert sim.event_count == 0 and sim.now == 0.0
     assert sim.run() == 0.0
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.desim import AllOf, AnyOf, Interrupt, Mailbox, Simulator
+from repro.desim import AllOf, AnyOf, Interrupt, Mailbox, Signal, Simulator
 
 
 def test_process_runs_and_returns():
@@ -258,6 +258,9 @@ class TestComposition:
         c = sim.process(consumer())
         sim.run()
         assert c.value == ([(1, "t1"), (0, "msg")], [1, 0], 2.0)
+        # one waitable: composites and processes are signals themselves
+        assert all(isinstance(w, Signal) for w in
+                   (c, AnyOf([sim.event()]), AllOf([]), box.get()))
 
     def test_allof_of_anyofs_fails_with_the_first_failure(self):
         sim = Simulator()

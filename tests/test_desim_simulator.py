@@ -1,7 +1,6 @@
 """Unit tests for the desim event loop and signals."""
 
 import gc
-import math
 
 import pytest
 
@@ -65,19 +64,6 @@ def test_cancelled_event_does_not_fire():
     sim.schedule(2.0, fired.append, "y")
     sim.run()
     assert fired == ["y"]
-
-
-def test_peek_skips_cancelled():
-    sim = Simulator()
-    h = sim.schedule(1.0, lambda: None)
-    sim.schedule(2.0, lambda: None)
-    h.cancel()
-    assert sim.peek() == 2.0
-
-
-def test_peek_empty_is_inf():
-    sim = Simulator()
-    assert sim.peek() == math.inf
 
 
 def test_schedule_at_absolute_time():

@@ -696,6 +696,8 @@ def test_daemon_survives_disconnect_mid_response(daemon):
 def test_daemon_price_op_validation(daemon):
     with ServeClient(daemon.address) as client:
         assert client.request({"op": "price"})["error"] == "bad-request"
+        assert client.request({"op": "price", "workloads": "heat"}
+                              )["error"] == "bad-request"  # envelope
         reply = client.request({"op": "price",
                                 "workloads": [{"sizzle": 1}]})
         assert reply["ok"] is False
@@ -706,7 +708,8 @@ def test_daemon_price_op_validation(daemon):
         assert reply["ok"] is True
         assert reply["priced"][0]["makespan"] > 0
         # malformed counts and sub-plans are the client's error, not
-        # the daemon's: bad-request, no internal-error bump
+        # the daemon's: bad-query, as in a query or batch, and no
+        # internal-error bump
         good = {"op": "price", "platform": TINY["platform"],
                 "workloads": [TINY["workload"]]}
         for bad in ({"n_peers": "2"}, {"pool": "4"}, {"n_peers": None},
@@ -715,7 +718,7 @@ def test_daemon_price_op_validation(daemon):
                     {"platform": {"n_hosts": 8.0}},
                     {"workloads": ["heat"]}, {"workloads": [{"n": 64.0}]}):
             reply = client.request(dict(good, **bad))
-            assert reply["error"] == "bad-request", bad
+            assert reply["error"] == "bad-query", bad
         stats = client.request({"op": "stats"})["stats"]
         assert stats.get("internal_errors", 0) == 0
 
