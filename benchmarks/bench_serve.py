@@ -1,9 +1,11 @@
 """S3 — serve-daemon benchmark: query throughput, cold vs memoized.
 
 Starts a real daemon on a loopback socket, prices a 50-query batch
-cold (every answer simulated), then replays the same batch memoized
-(every answer from the LRU memo) several times.  Enforced,
-machine-independent:
+cold (every answer simulated, through a fresh ``RunContext`` and with
+the platform cache cleared, so caches warmed by benches that ran
+earlier in the same process cannot shorten it), then replays the same
+batch memoized (every answer from the LRU memo) several times.
+Enforced, machine-independent:
 
 - every memoized replay must be **byte-identical** to the cold pass
   (the determinism contract the serve test harness pins in depth);
@@ -20,6 +22,8 @@ import json
 import statistics
 import time
 
+from repro.scenarios.platforms import build_platform
+from repro.scenarios.runner import RunContext
 from repro.serve import QueryEngine, ServeClient, ServeDaemon
 
 QUERIES = 50
@@ -46,7 +50,10 @@ def _query_payloads():
 
 
 def test_serve_throughput(tmp_path):
-    engine = QueryEngine(cache_dir=tmp_path / "cache")
+    # a cold pass whatever ran earlier in this process: a fresh context
+    # (scenario memo, templates, dPerf memos) and no built platforms
+    build_platform.cache_clear()
+    engine = QueryEngine(cache_dir=tmp_path / "cache", ctx=RunContext())
     payloads = _query_payloads()
     with ServeDaemon(engine, address="127.0.0.1:0") as daemon:
         with ServeClient(daemon.address, timeout=120.0) as client:

@@ -5,9 +5,10 @@
 produces byte-identical results, which is what makes the two cache
 levels sound:
 
-* an in-process memo (a bounded LRU keyed by spec hash) shared by
-  every caller in this interpreter — the experiment runners and the
-  test suite ride on it;
+* an in-process memo (a bounded LRU keyed by spec hash) held by a
+  :class:`RunContext` — every caller that names no context shares the
+  process default, so the experiment runners and the test suite ride
+  on it;
 * an optional on-disk JSON cache (one file per spec hash) that
   survives processes, so a repeated sweep is served without
   recomputing anything.
@@ -87,6 +88,14 @@ class LruMemo:
                 self._data.popitem(last=False)
             return evicted
 
+    def get_or_put(self, key: Any, make: Any) -> Any:
+        """``get(key)``, or ``make()`` stored under ``key`` on a miss."""
+        value = self.get(key)
+        if value is None:
+            value = make()
+            self.put(key, value)
+        return value
+
     def clear(self) -> None:
         with self._lock:
             self._data.clear()
@@ -95,9 +104,44 @@ class LruMemo:
         return len(self._data)
 
 
-#: In-process memo: spec hash → result, shared by every caller of
-#: :func:`resolve` (bounded: a daemon or fleet worker lives long).
-_MEMO = LruMemo(4096)
+class RunContext:
+    """Every in-process cache of scenario execution, in one object.
+
+    The scenario memo (spec hash → result), the deployment templates,
+    and the dPerf memos behind :mod:`~repro.scenarios.workloads`
+    (predictor per app, calibration run per (app, nprocs), scaled
+    traces per recipe, residual curve per app) — each a bounded
+    :class:`LruMemo`, because a daemon or fleet worker lives long.
+    Each trace directory a caller names gets one trace
+    :class:`JsonCache`, opened on first use.
+
+    Two contexts share no entry.  :func:`lookup`, :func:`resolve`,
+    :func:`run_scenario`, the :mod:`~repro.scenarios.workloads` stages
+    and the serve ``QueryEngine`` take one and default to
+    :data:`DEFAULT_CONTEXT`, the one process default, so callers that
+    name none (sweeps, fleet workers, the experiment runners) share
+    their warm state, and fork-started pool workers inherit it.
+    """
+
+    def __init__(self) -> None:
+        self.memo = LruMemo(4096)
+        self.templates = LruMemo(32)
+        self.predictors = LruMemo(4)
+        self.calibrations = LruMemo(32)
+        self.traces = LruMemo(256)
+        self.residuals = LruMemo(8)
+        self.trace_caches = LruMemo(16)
+
+    def trace_cache(self, root: Optional[Path]) -> Optional[JsonCache]:
+        """The trace cache at ``root`` (None: no disk trace cache)."""
+        if root is None:
+            return None
+        return self.trace_caches.get_or_put(Path(root),
+                                            lambda: JsonCache(root))
+
+
+#: The process default context (see :class:`RunContext`).
+DEFAULT_CONTEXT = RunContext()
 
 
 @dataclass
@@ -140,14 +184,17 @@ def _auto_zones(n_peers: int) -> int:
     return max(1, min(4, n_peers // 8))
 
 
-def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
-    """Execute one scenario (no caching — see :func:`run_cached`)."""
+def run_scenario(spec: ScenarioSpec, ctx: RunContext = DEFAULT_CONTEXT,
+                 trace_dir: Optional[Path] = None) -> ScenarioResult:
+    """Execute one scenario (no result caching — see :func:`run_cached`)
+    with ``ctx``'s in-process caches and dPerf traces cached under
+    ``trace_dir`` (None: in memory only)."""
     if spec.kind == "predict":
-        return _run_predict(spec)
+        return _run_predict(spec, ctx, trace_dir)
     if spec.kind == "reference":
-        return _run_reference(spec)
+        return _run_reference(spec, ctx, trace_dir)
     if spec.kind == "deploy":
-        return _run_deploy(spec)
+        return _run_deploy(spec, ctx)
     raise ValueError(f"unknown scenario kind {spec.kind!r}")
 
 
@@ -179,12 +226,10 @@ class _DeployTemplate:
     route_intern: Dict[Any, Any] = field(default_factory=dict)
 
 
-#: Per-process template cache, keyed on the frozen sub-plans that
-#: define the deployment shape.
-_TEMPLATES = LruMemo(32)
-
-
-def _deploy_template(spec: ScenarioSpec) -> _DeployTemplate:
+def _deploy_template(spec: ScenarioSpec,
+                     ctx: RunContext = DEFAULT_CONTEXT) -> _DeployTemplate:
+    """``ctx``'s template for ``spec``'s deployment shape, keyed on the
+    frozen sub-plans that define it."""
     from ..p2pdc import plan_zones
     from . import platforms
 
@@ -192,29 +237,31 @@ def _deploy_template(spec: ScenarioSpec) -> _DeployTemplate:
     # back off the template, so key and deployment cannot diverge
     deploy_n = spec.deploy_peers or spec.n_peers
     n_zones = spec.n_zones or _auto_zones(deploy_n)
-    key = (spec.platform, deploy_n, n_zones, spec.tcp)
-    template = _TEMPLATES.get(key)
-    if template is None:
+
+    def build() -> _DeployTemplate:
         platform = platforms.build_platform(spec.platform)
-        template = _DeployTemplate(
+        return _DeployTemplate(
             platform=platform,
             tcp=_tcp_model(spec),
             deploy_n=deploy_n,
             n_zones=n_zones,
             plan=plan_zones(platform, deploy_n, n_zones),
         )
-        _TEMPLATES.put(key, template)
-    return template
+
+    return ctx.templates.get_or_put(
+        (spec.platform, deploy_n, n_zones, spec.tcp), build)
 
 
-def _run_predict(spec: ScenarioSpec) -> ScenarioResult:
+def _run_predict(spec: ScenarioSpec, ctx: RunContext,
+                 trace_dir: Optional[Path]) -> ScenarioResult:
     from . import platforms, workloads
 
     platform = platforms.build_platform(spec.platform)
     hosts = platforms.pick_hosts(platform, spec.n_peers, spec.host_policy)
     w = spec.workload
-    traces = workloads.traces(w.app, spec.n_peers, w.level, w.n, w.nit)
-    prediction = workloads.predictor(w.app).predict(
+    traces = workloads.traces(w.app, spec.n_peers, w.level, w.n, w.nit,
+                              ctx, trace_dir)
+    prediction = workloads.predictor(w.app, ctx).predict(
         traces, platform, hosts=hosts, tcp=_tcp_model(spec)
     )
     replay = prediction.replay
@@ -228,7 +275,7 @@ def _run_predict(spec: ScenarioSpec) -> ScenarioResult:
     )
 
 
-def _deploy(spec: ScenarioSpec):
+def _deploy(spec: ScenarioSpec, ctx: RunContext = DEFAULT_CONTEXT):
     from ..desim.rng import derive_seed
     from ..p2pdc import (
         ChurnEvent,
@@ -240,7 +287,7 @@ def _deploy(spec: ScenarioSpec):
         poisson_peer_failures,
         rejoin_events,
     )
-    template = _deploy_template(spec)
+    template = _deploy_template(spec, ctx)
     deploy_n = template.deploy_n
     n_zones = template.n_zones
     t = spec.timers
@@ -353,15 +400,17 @@ def _deploy(spec: ScenarioSpec):
     return dep
 
 
-def _submit_reference(spec: ScenarioSpec):
+def _submit_reference(spec: ScenarioSpec, ctx: RunContext,
+                      trace_dir: Optional[Path]):
     """Deploy the overlay and submit the workload; ``(dep, signal)``."""
     from ..p2pdc import TaskSpec
     from ..p2psap import Scheme
     from . import workloads
 
-    dep = _deploy(spec)
+    dep = _deploy(spec, ctx)
     scheme = Scheme.ASYNC if spec.protocol.scheme == "async" else Scheme.SYNC
-    workload = workloads.make_workload(spec.workload, spec.n_peers, scheme)
+    workload = workloads.make_workload(spec.workload, spec.n_peers, scheme,
+                                       ctx, trace_dir)
     task = TaskSpec(workload=workload, n_peers=spec.n_peers,
                     spares=spec.spares)
     if spec.time_limit > 0:
@@ -381,7 +430,7 @@ def execute_reference(spec: ScenarioSpec):
     aggregated :class:`ScenarioResult` cannot express; an engine-level
     ``RuntimeError`` propagates to the caller.
     """
-    dep, sig = _submit_reference(spec)
+    dep, sig = _submit_reference(spec, DEFAULT_CONTEXT, None)
     dep.overlay.run_until(sig, limit=1e7)
     return dep, sig.value
 
@@ -427,8 +476,9 @@ def _recovery_metrics(dep) -> Dict[str, float]:
     return metrics
 
 
-def _run_reference(spec: ScenarioSpec) -> ScenarioResult:
-    dep, sig = _submit_reference(spec)
+def _run_reference(spec: ScenarioSpec, ctx: RunContext,
+                   trace_dir: Optional[Path]) -> ScenarioResult:
+    dep, sig = _submit_reference(spec, ctx, trace_dir)
 
     def failed(reason: str, ok: bool, **extra: float) -> ScenarioResult:
         return ScenarioResult(
@@ -467,8 +517,8 @@ def _run_reference(spec: ScenarioSpec) -> ScenarioResult:
     )
 
 
-def _run_deploy(spec: ScenarioSpec) -> ScenarioResult:
-    dep = _deploy(spec)
+def _run_deploy(spec: ScenarioSpec, ctx: RunContext) -> ScenarioResult:
+    dep = _deploy(spec, ctx)
     overlay = dep.overlay
     return ScenarioResult(
         name=spec.name, spec_hash=spec.spec_hash(), kind=spec.kind,
@@ -608,6 +658,10 @@ class JsonCache:
             return None
         return payload if isinstance(payload, dict) else None
 
+    def __contains__(self, key: str) -> bool:
+        self.disk_reads += 1
+        return self._path(key).exists()
+
     def store(self, key: str, payload: Mapping[str, Any]) -> None:
         """Atomically write ``payload`` under ``key``."""
         self.disk_writes += 1
@@ -654,8 +708,10 @@ def trace_dir(cache: Optional[ResultCache]) -> Optional[Path]:
 
 
 def lookup(spec: ScenarioSpec, cache: Optional[ResultCache] = None,
-           store: Any = None) -> Tuple[Optional[ScenarioResult], Any]:
-    """The cache-first probe: memo → result cache → result store.
+           store: Any = None, ctx: RunContext = DEFAULT_CONTEXT
+           ) -> Tuple[Optional[ScenarioResult], Any]:
+    """The cache-first probe: ``ctx``'s memo → result cache → result
+    store.
 
     ``(result, tier)`` with tier ``"memo"``, ``"result_disk"`` or
     ``"store"``, or ``(None, None)``.  A disk hit is memoized; a hit in
@@ -663,18 +719,18 @@ def lookup(spec: ScenarioSpec, cache: Optional[ResultCache] = None,
     written to ``cache``, so the next probe never re-scans the store.
     """
     key = spec.spec_hash()
-    result = _MEMO.get(key)
+    result = ctx.memo.get(key)
     if result is not None:
         return result, "memo"
     if cache is not None:
         result = cache.get(spec)
         if result is not None:
-            _MEMO.put(key, result)
+            ctx.memo.put(key, result)
             return result, "result_disk"
     if store is not None:
         result = store.get_result(key)
         if result is not None:
-            _MEMO.put(key, result)
+            ctx.memo.put(key, result)
             if cache is not None:
                 cache.put(spec, result)
             return result, "store"
@@ -682,17 +738,15 @@ def lookup(spec: ScenarioSpec, cache: Optional[ResultCache] = None,
 
 
 def resolve(spec: ScenarioSpec, cache: Optional[ResultCache] = None,
-            store: Any = None) -> Tuple[ScenarioResult, str]:
+            store: Any = None, ctx: RunContext = DEFAULT_CONTEXT
+            ) -> Tuple[ScenarioResult, str]:
     """:func:`lookup`, or a simulation (tier ``"simulate"``) that is
     memoized and persisted, with dPerf traces under :func:`trace_dir`."""
-    from . import workloads
-
-    result, tier = lookup(spec, cache, store)
+    result, tier = lookup(spec, cache, store, ctx)
     if result is not None:
         return result, tier
-    workloads.set_trace_cache_dir(trace_dir(cache))
-    result = run_scenario(spec)
-    _MEMO.put(spec.spec_hash(), result)
+    result = run_scenario(spec, ctx, trace_dir(cache))
+    ctx.memo.put(spec.spec_hash(), result)
     if cache is not None:
         cache.put(spec, result)
     return result, "simulate"
@@ -706,14 +760,16 @@ def run_cached(
 
 
 def memo_get(spec_hash: str) -> Optional["ScenarioResult"]:
-    """The in-process memo entry for ``spec_hash``, or None (a peek
-    that reads no disk tier; see :func:`lookup` for the full probe)."""
-    return _MEMO.get(spec_hash)
+    """The default context's memo entry for ``spec_hash``, or None (a
+    peek that reads no disk tier; see :func:`lookup` for the full
+    probe)."""
+    return DEFAULT_CONTEXT.memo.get(spec_hash)
 
 
 def clear_memo() -> None:
-    """Drop the in-process memo (tests only)."""
-    _MEMO.clear()
+    """Drop the default context's scenario memo, and nothing else
+    (tests only)."""
+    DEFAULT_CONTEXT.memo.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -898,7 +954,7 @@ class SweepRunner:
                 result = ScenarioResult.from_dict(future.result())
                 # the worker already persisted it (run_cached in
                 # _pool_run); the parent only memoizes
-                _MEMO.put(misses[i].spec_hash(), result)
+                DEFAULT_CONTEXT.memo.put(misses[i].spec_hash(), result)
                 computed[i] = result
                 if on_result is not None:
                     on_result(misses[i], result)

@@ -4,8 +4,11 @@ The dPerf calibration pipeline, generalized over the two domain
 applications: one instrumented *calibration* execution per (app, peer
 count) — small instance, virtual hardware counters — then traces of
 any *target* instance are obtained by block-benchmark scale-up at any
-GCC level.  All stages are cached per process, so a sweep touching the
-same (app, nprocs, level, n, nit) point twice pays once.
+GCC level.  Every stage is memoized in a
+:class:`~repro.scenarios.runner.RunContext` (the process default
+unless the caller passes one), so a sweep touching the same (app,
+nprocs, level, n, nit) point twice pays once; scaled traces also
+persist under the trace directory the caller names.
 
 ``experiments.calibration`` delegates here; this module is the single
 owner of the calibration constants.
@@ -14,11 +17,9 @@ owner of the calibration constants.
 from __future__ import annotations
 
 import hashlib
-import os
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .. import __version__ as _ENGINE_VERSION
 from ..apps import heat, obstacle
@@ -27,7 +28,7 @@ from ..p2pdc import WorkloadSpec
 from ..p2psap import Scheme
 from ..platforms.cluster import DEFAULT_NODE_SPEED
 from ..simx.tracefile import dump_trace, load_trace
-from .runner import JsonCache
+from .runner import DEFAULT_CONTEXT, JsonCache, RunContext
 from .spec import ScenarioSpec, WorkloadPlan
 
 #: Calibration instance size dPerf actually interprets.
@@ -56,13 +57,6 @@ def _default_residual(_n: int) -> Callable[[int], float]:
     return lambda it: 1.0 / (1 + it)
 
 
-#: The obstacle residual curve comes from a 200-iteration numpy solve;
-#: every reference point asks for it, so it is solved once per ``n``.
-#: The curve is a pure function of ``it``, so ``WorkloadSpec``s may
-#: share one.
-_obstacle_residual = lru_cache(maxsize=8)(obstacle.residual_model)
-
-
 ADAPTERS = {
     "obstacle": AppAdapter(
         name="obstacle",
@@ -74,7 +68,7 @@ ADAPTERS = {
         entry_args=lambda n, nit: obstacle.entry_args(n, nit, CHECK_EVERY),
         scale_env=obstacle.scale_env,
         halo_bytes=lambda n: (n + 2) * 8.0,
-        residual=_obstacle_residual,
+        residual=obstacle.residual_model,
     ),
     "heat": AppAdapter(
         name="heat",
@@ -99,21 +93,21 @@ def adapter(app: str) -> AppAdapter:
         raise KeyError(f"unknown app {app!r}; have {sorted(ADAPTERS)}")
 
 
-@lru_cache(maxsize=4)
-def predictor(app: str) -> DPerfPredictor:
-    """The (cached) dPerf predictor for one application source."""
+def predictor(app: str, ctx: RunContext = DEFAULT_CONTEXT) -> DPerfPredictor:
+    """The (memoized) dPerf predictor for one application source."""
     a = adapter(app)
-    return DPerfPredictor(a.source(), a.entry)
+    return ctx.predictors.get_or_put(
+        app, lambda: DPerfPredictor(a.source(), a.entry))
 
 
-@lru_cache(maxsize=32)
-def calibration_runs(app: str, nprocs: int):
+def calibration_runs(app: str, nprocs: int,
+                     ctx: RunContext = DEFAULT_CONTEXT):
     """One instrumented execution per (app, peer count), reused by
     every trace request at any level or target size."""
     a = adapter(app)
-    return predictor(app).execute(
-        nprocs, args=list(a.entry_args(CAL_N, a.cal_nit))
-    )
+    return ctx.calibrations.get_or_put(
+        (app, nprocs), lambda: predictor(app, ctx).execute(
+            nprocs, args=list(a.entry_args(CAL_N, a.cal_nit))))
 
 
 def scale_plan(app: str, nprocs: int, n: int, nit: int) -> ScalePlan:
@@ -133,24 +127,23 @@ def scale_plan(app: str, nprocs: int, n: int, nit: int) -> ScalePlan:
 # the on-disk trace cache (collaborative profiling-run reuse)
 # ---------------------------------------------------------------------------
 
-#: The persistent trace cache, or ``None`` (disabled).  Trace
-#: generation is the cold-start cost every sweep worker pays (one
-#: mini-C calibration per (app, nprocs)); the disk cache makes it a
-#: one-time cost shared across processes, shards and — with a copied
-#: cache directory — machines.  Each entry is a :class:`JsonCache`
-#: file holding its recipe and every rank's trace in the
-#: ``# dperf-trace v1`` text format, keyed by a content hash of the
-#: recipe, so a shared directory is safe to union by file copy and
-#: reading one runs no code.
-_TRACE_CACHE: Optional[JsonCache] = None
+# Trace generation is the cold-start cost every sweep worker pays (one
+# mini-C calibration per (app, nprocs)); the disk cache under a
+# caller's ``<cache root>/traces`` makes it a one-time cost shared
+# across processes, shards and — with a copied cache directory —
+# machines.  Each entry is a :class:`JsonCache` file holding its recipe
+# and every rank's trace in the ``# dperf-trace v1`` text format, keyed
+# by a content hash of the recipe, so a shared directory is safe to
+# union by file copy and reading one runs no code.
 
 
-def set_trace_cache_dir(path: Optional[os.PathLike | str]) -> None:
-    """Point the persistent trace cache at ``path`` (None disables);
-    the directory already in use keeps its open cache."""
-    global _TRACE_CACHE
-    if path is None or _TRACE_CACHE is None or _TRACE_CACHE.root != Path(path):
-        _TRACE_CACHE = JsonCache(path) if path is not None else None
+def set_trace_cache_dir(path: None) -> None:
+    """Switch the disk trace cache off for calls that name no trace
+    directory — which is already so: traces reach disk only under the
+    ``trace_dir`` a caller passes, so this accepts None alone."""
+    if path is not None:
+        raise ValueError("pass the trace directory to traces(), "
+                         "make_workload() or prime_traces() instead")
 
 
 def _trace_recipe(app: str, nprocs: int, level: str, n: int,
@@ -164,71 +157,82 @@ def _trace_key(recipe: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:24]
 
 
-@lru_cache(maxsize=256)
-def traces(app: str, nprocs: int, level: str, n: int, nit: int):
+def _store_traces(cache: JsonCache, key: str, recipe: dict, out) -> None:
+    try:
+        cache.store(key, {"recipe": recipe,
+                          "ranks": [dump_trace(t) for t in out]})
+    except OSError:
+        pass  # cache is best-effort; the computed value is still used
+
+
+def traces(app: str, nprocs: int, level: str, n: int, nit: int,
+           ctx: RunContext = DEFAULT_CONTEXT,
+           trace_dir: Optional[Path] = None):
     """Scaled traces of the target instance at one GCC level.
 
-    Served (in order) from the in-process memo, the persistent trace
-    cache, or a fresh calibration + scale-up (which then populates
-    both).  A cache entry whose recipe differs from the request, or
-    that does not decode, is a miss.
+    Served (in order) from ``ctx``'s trace memo, the trace cache at
+    ``trace_dir``, or a fresh calibration + scale-up (which then
+    populates both).  A memo hit is written to ``trace_dir`` when the
+    directory lacks it, so every cache root a caller names holds the
+    traces its points used; the memo entry keeps the roots known to
+    hold it, so each root is checked once.  A cache entry whose recipe
+    differs from the request, or that does not decode, is a miss.
     """
     recipe = _trace_recipe(app, nprocs, level, n, nit)
     key = _trace_key(recipe)
-    cache = _TRACE_CACHE
+    cache = ctx.trace_cache(trace_dir)
+    hit = ctx.traces.get(key)
+    if hit is not None:
+        out, on_disk = hit
+        if cache is not None and cache.root not in on_disk:
+            if key not in cache:
+                _store_traces(cache, key, recipe, out)
+            on_disk.add(cache.root)
+        return out
+    out = None
     payload = cache.load(key) if cache is not None else None
     if payload is not None and payload.get("recipe") == recipe:
         try:
-            return [load_trace(text) for text in payload["ranks"]]
+            out = [load_trace(text) for text in payload["ranks"]]
         except (KeyError, TypeError, ValueError, AttributeError):
             pass  # torn or foreign entry: recompute below
-    out = predictor(app).traces_for(
-        calibration_runs(app, nprocs), level,
-        scale=scale_plan(app, nprocs, n, nit),
-        app=app, extra_meta={"n": str(n), "nit": str(nit)},
-    )
-    if cache is not None:
-        try:
-            cache.store(key, {"recipe": recipe,
-                              "ranks": [dump_trace(t) for t in out]})
-        except OSError:
-            pass  # cache is best-effort; the computed value is still used
+    if out is None:
+        out = predictor(app, ctx).traces_for(
+            calibration_runs(app, nprocs, ctx), level,
+            scale=scale_plan(app, nprocs, n, nit),
+            app=app, extra_meta={"n": str(n), "nit": str(nit)},
+        )
+        if cache is not None:
+            _store_traces(cache, key, recipe, out)
+    ctx.traces.put(key, (out, {cache.root} if cache is not None else set()))
     return out
 
 
-def prime_traces(specs: Sequence[ScenarioSpec],
-                 trace_cache_dir: Optional[os.PathLike | str]) -> None:
-    """Generate every distinct trace recipe of ``specs`` once, into the
-    persistent trace cache at ``trace_cache_dir``, so worker processes
-    load trace files instead of re-running the dPerf calibration."""
-    set_trace_cache_dir(trace_cache_dir)
-    recipes = dict.fromkeys(
-        (s.workload.app, s.n_peers, s.workload.level, s.workload.n,
-         s.workload.nit)
-        for s in specs if s.kind in ("reference", "predict")
-    )
-    for recipe in recipes:
-        traces(*recipe)
-
-
-def iteration_seconds(
-    app: str, nprocs: int, level: str, n: int, nit: int
-) -> List[float]:
-    """Per-rank compute seconds per iteration of the target instance."""
-    return [
-        t.total_compute_ns * 1e-9 / nit
-        for t in traces(app, nprocs, level, n, nit)
-    ]
+def prime_traces(specs: Sequence[ScenarioSpec], trace_dir: Optional[Path],
+                 ctx: RunContext = DEFAULT_CONTEXT) -> None:
+    """Generate the traces of ``specs`` (each distinct recipe once,
+    through ``ctx``'s memo) into the trace cache at ``trace_dir``, so
+    worker processes load trace files instead of re-running the dPerf
+    calibration."""
+    for s in specs:
+        if s.kind in ("reference", "predict"):
+            w = s.workload
+            traces(w.app, s.n_peers, w.level, w.n, w.nit, ctx, trace_dir)
 
 
 def make_workload(
-    plan: WorkloadPlan, nprocs: int, scheme: Scheme = Scheme.SYNC
+    plan: WorkloadPlan, nprocs: int, scheme: Scheme = Scheme.SYNC,
+    ctx: RunContext = DEFAULT_CONTEXT, trace_dir: Optional[Path] = None,
 ) -> WorkloadSpec:
     """A :class:`WorkloadSpec` for the P2PDC reference execution of one
-    workload plan (compute bursts priced by the dPerf cost model)."""
+    workload plan (compute bursts priced by the dPerf cost model, from
+    :func:`traces` with ``ctx`` and ``trace_dir``)."""
     a = adapter(plan.app)
-    per_rank = iteration_seconds(plan.app, nprocs, plan.level, plan.n,
-                                 plan.nit)
+    per_rank = [
+        t.total_compute_ns * 1e-9 / plan.nit
+        for t in traces(plan.app, nprocs, plan.level, plan.n, plan.nit,
+                        ctx, trace_dir)
+    ]
 
     def iteration_time(rank: int, nranks: int) -> float:
         return per_rank[min(rank, len(per_rank) - 1)]
@@ -241,7 +245,11 @@ def make_workload(
         check_every=plan.check_every,
         scheme=scheme,
         noise_frac=plan.noise_frac,
-        residual=a.residual(CAL_N),
+        # the obstacle curve is a 200-iteration numpy solve, so it is
+        # solved once per app; it is a pure function of ``it``, so
+        # ``WorkloadSpec``s may share one
+        residual=ctx.residuals.get_or_put(
+            plan.app, lambda: a.residual(CAL_N)),
         tol=plan.tol,
         result_bytes=4096,
         subtask_bytes=8192,
@@ -255,8 +263,9 @@ def make_workload(
 
 
 def clear_caches() -> None:
-    """Drop all in-process calibration caches (tests only)."""
-    predictor.cache_clear()
-    calibration_runs.cache_clear()
-    traces.cache_clear()
-    _obstacle_residual.cache_clear()
+    """Drop the default context's four dPerf memos, and nothing else —
+    templates, the scenario memo and trace files stay (tests only)."""
+    ctx = DEFAULT_CONTEXT
+    for memo in (ctx.predictors, ctx.calibrations, ctx.traces,
+                 ctx.residuals):
+        memo.clear()

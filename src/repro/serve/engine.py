@@ -18,11 +18,15 @@ three-level resolution:
    cache → result store → simulation, dPerf traces under ``traces/``)
    with one counter bumped for the tier that answered.
 
-Cold computes are serialized behind one lock: the scenario runner's
-shared per-process state (deployment templates, route-intern stores)
-is written during a run, and two interleaved simulations must never
-share it.  Hot hits never take that lock, which is where the
-memoized-vs-cold throughput ratio comes from.
+Compute goes through the engine's
+:class:`~repro.scenarios.runner.RunContext` (the process default
+unless one is passed): its scenario memo, deployment templates and
+dPerf memos, with dPerf traces under the engine's own ``traces/``.
+Cold computes are serialized behind one lock: a context's templates
+and their route-intern stores are written during a run, and two
+interleaved simulations must never share them.  Hot hits never take
+that lock, which is where the memoized-vs-cold throughput ratio comes
+from.
 """
 
 from __future__ import annotations
@@ -35,9 +39,11 @@ from typing import Any, Dict, List, Optional, Sequence
 from ..p2pdc import GroupPricer
 from ..scenarios import workloads
 from ..scenarios.runner import (
+    DEFAULT_CONTEXT,
     JsonCache,
     LruMemo,
     ResultCache,
+    RunContext,
     resolve,
     run_scenario,  # noqa: F401 — perfbench's tracer wraps it by this name
     trace_dir,
@@ -137,12 +143,15 @@ class QueryEngine:
     memo_capacity:
         LRU answer-memo size; evicted answers fall back to the disk
         tier, never to recomputation.
+    ctx:
+        The in-process scenario and dPerf caches computes go through.
     """
 
     def __init__(
         self,
         cache_dir: Optional[Path | str] = None,
         memo_capacity: int = DEFAULT_MEMO_CAPACITY,
+        ctx: RunContext = DEFAULT_CONTEXT,
     ) -> None:
         if memo_capacity < 1:
             raise ValueError(f"memo_capacity must be >= 1, "
@@ -166,6 +175,8 @@ class QueryEngine:
             self.result_cache = None
             self.answer_cache = None
             self.result_store = None
+        self.ctx = ctx
+        self._trace_dir = trace_dir(self.result_cache)
         self._memo = LruMemo(memo_capacity)
         self._compute_lock = Lock()
         self._pricer = GroupPricer()
@@ -196,7 +207,7 @@ class QueryEngine:
         from ..scenarios import platforms
 
         platforms.build_platform(query.scenario.platform)
-        workloads.prime_traces([query.scenario], trace_dir(self.result_cache))
+        workloads.prime_traces([query.scenario], self._trace_dir, self.ctx)
 
     # -- the answer path ----------------------------------------------------
     def _check_deadline(self, deadline: Optional[float]) -> None:
@@ -265,7 +276,7 @@ class QueryEngine:
         for spec in query.scenario_specs():
             self._check_deadline(deadline)
             result, tier = resolve(spec, self.result_cache,
-                                   self.result_store)
+                                   self.result_store, self.ctx)
             if tier in _TIER_COUNTERS:
                 self.stats.bump(_TIER_COUNTERS[tier])
             results.append(result)
@@ -310,7 +321,8 @@ class QueryEngine:
         members = tuple((h.name, h.speed) for h in hosts)
         priced = []
         for plan in workload_plans:
-            workload = workloads.make_workload(plan, n_peers)
+            workload = workloads.make_workload(
+                plan, n_peers, ctx=self.ctx, trace_dir=self._trace_dir)
             group, makespan = self._pricer.best_group(
                 workload, members, n_peers
             )

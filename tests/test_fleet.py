@@ -39,7 +39,7 @@ from repro.fleet import (
 )
 from repro.fleet.cli import main as fleet_main
 from repro.fleet.telemetry import WorkerStat, flag_stragglers
-from repro.scenarios import SCENARIOS, expand_grid, run_scenario, workloads
+from repro.scenarios import SCENARIOS, expand_grid, run_scenario
 from repro.scenarios.cli import main as scenarios_main
 from repro.scenarios.runner import ResultCache, ScenarioResult, clear_memo
 from repro.scenarios.spec import PlatformPlan, ScenarioSpec
@@ -394,8 +394,6 @@ class TestProtocol:
         with a ``worker-error`` reason, and the traceback reaches the
         worker's stderr (its log file when the dispatcher spawned
         it), not just the one-line reason."""
-        monkeypatch.setattr(workloads, "_TRACE_CACHE",
-                            workloads._TRACE_CACHE)
         monkeypatch.delenv("REPRO_FLEET_FAULT", raising=False)
 
         def broken_run_cached(spec, cache):
@@ -566,12 +564,9 @@ class TestTelemetry:
 # -- the dispatcher -----------------------------------------------------------
 
 class TestFleetRuns:
-    def test_worker_never_writes_the_store(self, tmp_path, monkeypatch):
+    def test_worker_never_writes_the_store(self, tmp_path):
         """A worker persists to the result cache and its done record
         only: the dispatcher's finalize is the store's one writer."""
-        # the worker re-points the process-global trace cache
-        monkeypatch.setattr(workloads, "_TRACE_CACHE",
-                            workloads._TRACE_CACHE)
         clear_memo()
         cache = tmp_path / "cache"
         spec = _specs()[0]

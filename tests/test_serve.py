@@ -81,12 +81,9 @@ def tiny_query(**overrides):
 
 
 @pytest.fixture(autouse=True)
-def _isolate_process_globals(monkeypatch):
-    """Counter pins need a cold scenario memo, and an engine's
-    simulations point the process-global trace cache at its cache dir
-    (``runner.resolve``); reset both around every test."""
+def _cold_memo():
+    """Counter pins need a cold scenario memo."""
     clear_memo()
-    monkeypatch.setattr(workloads, "_TRACE_CACHE", workloads._TRACE_CACHE)
 
 
 # -- QuerySpec / Answer -------------------------------------------------------
@@ -568,6 +565,22 @@ def test_engine_price_batch_validation(tmp_path):
     assert len(priced) == 1
     assert len(priced[0]["members"]) == 2
     assert priced[0]["makespan"] > 0
+
+
+def test_price_batch_caches_traces_under_the_engine_root(tmp_path):
+    """A fresh engine's pricing writes the dPerf traces it used into its
+    own ``traces/``, whatever trace directory earlier work named."""
+    engine = QueryEngine(cache_dir=tmp_path)
+    plat = PlatformPlan(kind="cluster", n_hosts=8)
+    wl = [WorkloadPlan(app="heat", n=64, nit=20, level=level)
+          for level in ("O1", "O3")]
+    engine.price_batch(plat, pool=4, n_peers=2, workload_plans=wl)
+    assert len(list((tmp_path / "traces").glob("*.json"))) == 2
+    # a warm price reads its traces from the memo and touches no disk
+    traces = engine.ctx.trace_cache(tmp_path / "traces")
+    io = (traces.disk_reads, traces.disk_writes)
+    engine.price_batch(plat, pool=4, n_peers=2, workload_plans=wl)
+    assert (traces.disk_reads, traces.disk_writes) == io
 
 
 # -- protocol units -----------------------------------------------------------

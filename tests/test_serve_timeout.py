@@ -42,7 +42,7 @@ def slow_scenarios(monkeypatch):
     sleeps a deterministic MEMBER_SECONDS per pool member."""
     clear_memo()
 
-    def fake_run(spec):
+    def fake_run(spec, *_context):
         time.sleep(MEMBER_SECONDS)
         return ScenarioResult(
             name=spec.name, spec_hash=spec.spec_hash(), kind=spec.kind,

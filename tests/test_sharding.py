@@ -146,11 +146,11 @@ class TestShardedCli:
         original = runner_mod.run_scenario
         calls = []
 
-        def dies_on_third(spec):
+        def dies_on_third(spec, *context):
             if len(calls) == 2:
                 raise KeyboardInterrupt  # the shard is killed
             calls.append(spec)
-            return original(spec)
+            return original(spec, *context)
 
         with monkeypatch.context() as patch:
             patch.setattr(runner_mod, "run_scenario", dies_on_third)

@@ -17,14 +17,18 @@ from repro.scenarios import (
     SweepRunner,
     run_scenario,
 )
-from repro.scenarios import runner as runner_mod
 from repro.scenarios.runner import (
+    DEFAULT_CONTEXT,
+    JsonCache,
     LruMemo,
+    RunContext,
+    _deploy_template,
     atomic_write_text,
     clear_memo,
     lookup,
     memo_get,
     resolve,
+    trace_dir,
 )
 from repro.scenarios.spec import PlatformPlan, WorkloadPlan
 from repro.scenarios import workloads
@@ -119,39 +123,37 @@ def _trace_entry(cache_dir):
     return cache_dir / f"{key}.json"
 
 
-class TestTraceCache:
-    @pytest.fixture(autouse=True)
-    def _restore(self):
-        yield
-        workloads.set_trace_cache_dir(None)
+def _ref_spec(**over):
+    """A cheap reference point whose traces are :data:`RECIPE`'s."""
+    return ScenarioSpec(
+        name="trace-probe", kind="reference",
+        platform=PlatformPlan(kind="cluster", n_hosts=8),
+        workload=WorkloadPlan(app="heat", n=64, nit=20, level="O1"),
+        n_peers=2, **over,
+    )
 
+
+def _n_traces(cache_root):
+    return len(list((cache_root / "traces").glob("*.json")))
+
+
+class TestTraceCache:
     def test_disk_roundtrip_preserves_reference_results(self, tmp_path):
         """The trace-file path must be invisible: a reference run
         from disk-loaded traces is byte-identical to the computed one."""
-        spec = ScenarioSpec(
-            name="trace-probe", kind="reference",
-            platform=PlatformPlan(kind="cluster", n_hosts=8),
-            workload=WorkloadPlan(app="heat", n=64, nit=20, level="O1"),
-            n_peers=2,
-        )
-        workloads.set_trace_cache_dir(tmp_path)
-        workloads.clear_caches()
-        computed = run_scenario(spec)  # computes, stores to disk
+        spec = _ref_spec()
+        computed = run_scenario(spec, RunContext(), tmp_path)  # stores
         assert _trace_entry(tmp_path).is_file()
-        workloads.clear_caches()  # force the disk-load path
-        loaded = run_scenario(spec)
+        loaded = run_scenario(spec, RunContext(), tmp_path)  # disk load
         assert loaded.canonical_json() == computed.canonical_json()
 
     def test_entry_is_recipe_plus_trace_text(self, tmp_path):
-        workloads.set_trace_cache_dir(tmp_path)
-        workloads.clear_caches()
-        computed = workloads.traces(*RECIPE)
+        computed = workloads.traces(*RECIPE, RunContext(), tmp_path)
         payload = json.loads(_trace_entry(tmp_path).read_text())
         assert payload["recipe"] == workloads._trace_recipe(*RECIPE)
         assert [text.splitlines()[0] for text in payload["ranks"]] \
             == ["# dperf-trace v1"] * 2
-        workloads.clear_caches()
-        loaded = workloads.traces(*RECIPE)
+        loaded = workloads.traces(*RECIPE, RunContext(), tmp_path)
         assert [(t.rank, t.nprocs, t.app, t.meta, t.events)
                 for t in loaded] \
             == [(t.rank, t.nprocs, t.app, t.meta, t.events)
@@ -163,15 +165,13 @@ class TestTraceCache:
         "torn {",                                # torn JSON
     ])
     def test_undecodable_entry_recomputes(self, tmp_path, payload):
-        workloads.set_trace_cache_dir(tmp_path)
         if payload is None:
             payload = json.dumps({
                 "recipe": workloads._trace_recipe(*RECIPE),
                 "ranks": ["not a trace"]})
         _trace_entry(tmp_path).write_text(payload)
-        workloads.clear_caches()
-        traces = workloads.traces(*RECIPE)  # recomputed
-        assert [t.rank for t in traces] == [0, 1]
+        traces = workloads.traces(*RECIPE, RunContext(), tmp_path)
+        assert [t.rank for t in traces] == [0, 1]  # recomputed
         # and the recomputed traces replaced the bad entry
         assert json.loads(_trace_entry(tmp_path).read_text())["recipe"] \
             == workloads._trace_recipe(*RECIPE)
@@ -194,10 +194,8 @@ class TestTraceCache:
         key = workloads._trace_key(workloads._trace_recipe(*RECIPE))
         blob = pickle.dumps(Plant())
         (traces_dir / f"{key}.trace.pkl").write_bytes(blob)
-        workloads.set_trace_cache_dir(traces_dir)
         for _ in range(2):  # computed, then read back from the JSON entry
-            workloads.clear_caches()
-            assert workloads.traces(*RECIPE)
+            assert workloads.traces(*RECIPE, RunContext(), traces_dir)
         runner = SweepRunner(cache_dir=tmp_path / "dst")
         runner.absorb(tmp_path / "cache")
         assert not (tmp_path / "dst" / "traces" / f"{key}.trace.pkl") \
@@ -212,24 +210,22 @@ class TestTraceCache:
         logged once, tolerated once, re-raised on the second
         consecutive failure.  (Permission tricks don't work for root,
         which CI runs as.)"""
-        workloads.set_trace_cache_dir(tmp_path)
-        cache = workloads._TRACE_CACHE
+        ctx = RunContext()
+        cache = ctx.trace_cache(tmp_path)
         _trace_entry(tmp_path).mkdir()
         with caplog.at_level("WARNING", logger="repro.scenarios.cache"):
-            workloads.clear_caches()
-            assert workloads.traces(*RECIPE)  # first failure: a miss
+            assert workloads.traces(*RECIPE, ctx, tmp_path)  # a miss
             assert cache.cache_read_errors == 1
-            workloads.clear_caches()
+            ctx.traces.clear()
             with pytest.raises(IsADirectoryError):
-                workloads.traces(*RECIPE)
+                workloads.traces(*RECIPE, ctx, tmp_path)
         assert cache.cache_read_errors == 2
         assert len(caplog.records) == 1
         assert "treating as a miss" in caplog.records[0].getMessage()
 
     def test_missing_and_torn_trace_entries_are_silent_misses(
             self, tmp_path):
-        workloads.set_trace_cache_dir(tmp_path)
-        cache = workloads._TRACE_CACHE
+        cache = RunContext().trace_cache(tmp_path)
         key = workloads._trace_key(workloads._trace_recipe(*RECIPE))
         for _ in range(2):
             assert cache.load(key) is None  # missing
@@ -238,24 +234,44 @@ class TestTraceCache:
             assert cache.load(key) is None  # torn
         assert cache.cache_read_errors == 0
 
-    def test_disabled_cache_writes_nothing(self, tmp_path):
-        workloads.set_trace_cache_dir(None)
-        workloads.clear_caches()
-        workloads.traces(*RECIPE)
+    def test_no_trace_dir_writes_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        workloads.set_trace_cache_dir(None)  # accepted: already off
+        with pytest.raises(ValueError):
+            workloads.set_trace_cache_dir(tmp_path)
+        workloads.traces(*RECIPE, RunContext())
         assert not list(tmp_path.iterdir())
+
+    def test_each_sweep_root_gets_the_traces_it_used(self, tmp_path):
+        """Two sweeps into two cache roots: the second point's trace
+        is an in-process memo hit, and still lands in its own root, so
+        a copied shard cache never re-pays the calibration."""
+        SweepRunner(cache_dir=tmp_path / "a").run([_ref_spec()])
+        SweepRunner(cache_dir=tmp_path / "b").run([_ref_spec(seed=7)])
+        assert _n_traces(tmp_path / "a") == _n_traces(tmp_path / "b") == 1
+
+    def test_memo_hit_checks_each_root_once(self, tmp_path):
+        """A memo hit stats a trace root at most once: the first hit on
+        a new root writes the missing entry, later hits touch no disk."""
+        ctx = RunContext()
+        workloads.traces(*RECIPE, ctx, tmp_path / "a")  # computed, stored
+        a, b = ctx.trace_cache(tmp_path / "a"), ctx.trace_cache(tmp_path / "b")
+        io_a = (a.disk_reads, a.disk_writes)
+        for _ in range(3):
+            workloads.traces(*RECIPE, ctx, tmp_path / "a")
+            workloads.traces(*RECIPE, ctx, tmp_path / "b")
+        assert (a.disk_reads, a.disk_writes) == io_a
+        assert (b.disk_reads, b.disk_writes) == (1, 1)
+        assert len(list((tmp_path / "b").glob("*.json"))) == 1
 
 
 class TestDeployTemplateCache:
     def test_same_shape_shares_one_template(self):
-        from repro.scenarios.runner import _deploy_template
-
         a = _deploy_template(_spec(seed=1, selection_policy="random"))
         b = _deploy_template(_spec(seed=2, selection_policy="proximity"))
         assert a is b  # churn/policy/seed axes share the deployment shape
 
     def test_different_shape_gets_its_own_template(self):
-        from repro.scenarios.runner import _deploy_template
-
         a = _deploy_template(_spec())
         b = _deploy_template(_spec(n_peers=6))
         c = _deploy_template(
@@ -313,66 +329,175 @@ class TestLruMemo:
         assert not any(t.is_alive() for t in threads)
         assert errors == [] and len(memo) == 2
 
-    def test_evicted_scenario_result_falls_back_to_disk(self, tmp_path,
-                                                        monkeypatch):
-        monkeypatch.setattr(runner_mod, "_MEMO", LruMemo(1))
+    def test_every_operation_takes_the_lock(self):
+        """Serve's request threads share the memos, so ``get`` (which
+        reorders), ``put``, ``get_or_put`` and ``clear`` each hold the
+        lock — recorded, not raced."""
+        class RecordingLock:
+            def __init__(self):
+                self.held, self.entries = False, 0
+
+            def __enter__(self):
+                self.held = True
+                self.entries += 1
+
+            def __exit__(self, *exc):
+                self.held = False
+
+        memo = LruMemo(2)
+        lock = memo._lock = RecordingLock()
+
+        class Probe(dict):
+            def move_to_end(self, key, last=True):
+                assert lock.held, "reordered outside the lock"
+
+            def popitem(self, last=True):
+                assert lock.held, "evicted outside the lock"
+                return dict.popitem(self)
+
+        memo._data = Probe()
+        for op in (lambda: memo.put("a", 1), lambda: memo.get("a"),
+                   lambda: memo.get_or_put("b", lambda: 2),
+                   lambda: memo.put("c", 3), memo.clear):
+            before = lock.entries
+            op()
+            assert lock.entries > before and not lock.held
+
+    def test_evicted_scenario_result_falls_back_to_disk(self, tmp_path):
+        ctx = RunContext()
+        ctx.memo = LruMemo(1)
         cache = ResultCache(tmp_path)
         first, second = _spec(seed=1), _spec(seed=2)
-        assert resolve(first, cache)[1] == "simulate"
-        assert resolve(second, cache)[1] == "simulate"  # evicts first
-        assert memo_get(first.spec_hash()) is None
-        assert resolve(first, cache)[1] == "result_disk"
-        assert resolve(first, cache)[1] == "memo"
+        assert resolve(first, cache, ctx=ctx)[1] == "simulate"
+        assert resolve(second, cache, ctx=ctx)[1] == "simulate"  # evicts
+        assert ctx.memo.get(first.spec_hash()) is None
+        assert resolve(first, cache, ctx=ctx)[1] == "result_disk"
+        assert resolve(first, cache, ctx=ctx)[1] == "memo"
 
-    def test_templates_are_bounded(self, monkeypatch):
-        monkeypatch.setattr(runner_mod, "_TEMPLATES", LruMemo(1))
-        a = runner_mod._deploy_template(_spec())
-        runner_mod._deploy_template(_spec(n_peers=6))
-        assert runner_mod._deploy_template(_spec()) is not a  # rebuilt
-        assert len(runner_mod._TEMPLATES) == 1
+    def test_templates_are_bounded(self):
+        ctx = RunContext()
+        ctx.templates = LruMemo(1)
+        a = _deploy_template(_spec(), ctx)
+        _deploy_template(_spec(n_peers=6), ctx)
+        assert _deploy_template(_spec(), ctx) is not a  # rebuilt
+        assert len(ctx.templates) == 1
 
 
 class TestResolver:
     """``lookup``/``resolve``: the one memo → result cache → store →
     simulate path, and the trace directory that follows the cache."""
 
-    @pytest.fixture(autouse=True)
-    def _isolate(self, monkeypatch):
-        clear_memo()
-        monkeypatch.setattr(workloads, "_TRACE_CACHE", workloads._TRACE_CACHE)
-        yield
-        clear_memo()
-
     def test_tiers_in_order(self, tmp_path):
         from repro.fleet.store import ResultStore
 
-        spec = _spec()
+        ctx, spec = RunContext(), _spec()
         cache, store = ResultCache(tmp_path / "c"), ResultStore(tmp_path / "s")
-        assert lookup(spec, cache, store) == (None, None)
-        result, tier = resolve(spec, cache)
+        assert lookup(spec, cache, store, ctx) == (None, None)
+        result, tier = resolve(spec, cache, ctx=ctx)
         assert tier == "simulate" and cache.get(spec) == result
-        assert resolve(spec, cache) == (result, "memo")
-        clear_memo()
-        assert resolve(spec, cache) == (result, "result_disk")
+        assert resolve(spec, cache, ctx=ctx) == (result, "memo")
+        ctx.memo.clear()
+        assert resolve(spec, cache, ctx=ctx) == (result, "result_disk")
         # a store-only result is promoted into the memo and the cache
         other = _spec(seed=5)
         store.record(other, run_scenario(other), label="l", scenario="s")
         assert cache.get(other) is None
-        assert lookup(other, cache, store)[1] == "store"
+        assert lookup(other, cache, store, ctx)[1] == "store"
         assert cache.get(other) is not None
-        assert lookup(other, cache, store)[1] == "memo"
+        assert lookup(other, cache, store, ctx)[1] == "memo"
 
     def test_trace_dir_follows_the_cache_root(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        resolve(_spec(), cache)
-        opened = workloads._TRACE_CACHE
-        assert opened.root == tmp_path / "traces"
-        resolve(_spec(seed=3), cache)
-        assert workloads._TRACE_CACHE is opened  # unchanged: not reopened
-        resolve(_spec(seed=4))
-        assert workloads._TRACE_CACHE is None  # no cache root, no traces
-        assert resolve(_spec(), cache)[1] == "memo"  # a hit opens none
-        assert workloads._TRACE_CACHE is None
+        ctx = RunContext()
+        cache = ResultCache(tmp_path / "c")
+        resolve(_ref_spec(), cache, ctx=ctx)
+        opened = ctx.trace_cache(trace_dir(cache))
+        assert opened.root == tmp_path / "c" / "traces" and len(opened) == 1
+        resolve(_ref_spec(seed=3), cache, ctx=ctx)
+        assert ctx.trace_cache(trace_dir(cache)) is opened  # opened once
+        resolve(_ref_spec(seed=4), ctx=ctx)  # no cache root, no traces
+        assert len(ctx.trace_caches) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c"]
+
+    def test_two_contexts_share_no_entry(self, tmp_path):
+        a, b = RunContext(), RunContext()
+        spec = _ref_spec()
+        result, tier = resolve(spec, ctx=a)
+        assert tier == "simulate"
+        memos = ("memo", "templates", "predictors", "calibrations",
+                 "traces", "residuals")
+        sizes = {name: len(getattr(a, name)) for name in memos}
+        assert all(sizes.values())
+        assert resolve(spec, ctx=b)[1] == "simulate"
+        assert {name: len(getattr(a, name)) for name in memos} == sizes
+        assert a.memo.get(spec.spec_hash()) is result
+        assert b.memo.get(spec.spec_hash()) is not result
+        assert _deploy_template(spec, a) is not _deploy_template(spec, b)
+        assert workloads.traces(*RECIPE, a) \
+            is not workloads.traces(*RECIPE, b)
+        assert workloads.predictor("heat", a) \
+            is not workloads.predictor("heat", b)
+
+    def test_delegates_reach_only_their_own_memos(self, tmp_path):
+        """``clear_memo`` drops the default context's scenario memo,
+        ``clear_caches`` its four dPerf memos; neither drops templates
+        or trace caches."""
+        ctx, spec = DEFAULT_CONTEXT, _ref_spec(seed=11)
+        resolve(spec, ResultCache(tmp_path))
+        assert memo_get(spec.spec_hash()) is not None
+        dperf = ("predictors", "calibrations", "traces", "residuals")
+        kept = {name: len(getattr(ctx, name))
+                for name in ("templates", "trace_caches")}
+        clear_memo()
+        assert len(ctx.memo) == 0
+        assert all(len(getattr(ctx, name)) for name in dperf)
+        workloads.clear_caches()
+        assert not any(len(getattr(ctx, name)) for name in dperf)
+        assert all(kept.values())
+        assert {name: len(getattr(ctx, name)) for name in kept} == kept
+
+
+#: Module-level caches that stay outside :class:`RunContext`, each
+#: with the reason it may.
+ALLOWED_MODULE_CACHES = {
+    "repro.scenarios.platforms.build_platform":
+        "a built platform is immutable and pure in its plan, and the "
+        "benchmark clears it by unwrapping to its cache_clear",
+    "repro.experiments.stage1.run_stage1":
+        "a paper-figure memo over one frozen config",
+    "repro.experiments.stage2.run_stage2":
+        "a paper-figure memo over one frozen config",
+    "repro.experiments.table1.run_table1":
+        "a paper-figure memo over one frozen config",
+    "repro.experiments.heterogeneous.heterogeneous_grid":
+        "a paper-figure memo over one frozen config",
+    "repro.p2pdc.stats._msg_key":
+        "interns one counter key per message type, a closed set",
+}
+
+
+def test_no_module_level_cache_outside_the_default_context():
+    """Walk the globals of every ``repro`` module: no ``LruMemo``,
+    ``JsonCache`` or ``lru_cache`` wrapper lives there except the
+    allow-listed ones — every other in-process cache is a
+    :class:`RunContext` attribute."""
+    import functools
+    import importlib
+    import pkgutil
+
+    import repro
+
+    found = set()
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name.endswith("__main__"):
+            continue  # importing it would run the CLI
+        module = importlib.import_module(info.name)
+        for name, obj in vars(module).items():
+            if isinstance(obj, (LruMemo, JsonCache)):
+                found.add(f"{info.name}.{name}")
+            elif isinstance(obj, functools._lru_cache_wrapper):
+                found.add(f"{obj.__module__}.{obj.__qualname__}")
+    assert found == set(ALLOWED_MODULE_CACHES)
+    assert isinstance(DEFAULT_CONTEXT, RunContext)
 
 
 class TestReadErrorTaxonomy:
