@@ -17,14 +17,8 @@ measurably faster than one.  Enforced, machine-independent:
   single core two compute-bound workers cannot win, so there the
   bench still pins completion and the steal split, and prints the
   walls, but skips the speedup assertion.
-
-A second bench pins the **store at scale**: against a 100k-record
-index, one ``get_result`` through the offset sidecar must beat the
-pre-sidecar full-scan lookup by at least ``MIN_INDEX_SPEEDUP`` — the
-floor the "millions of records" store design is sold on.
 """
 
-import json
 import os
 import time
 from pathlib import Path
@@ -32,10 +26,9 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.fleet import FleetDispatcher, ResultStore
+from repro.fleet import FleetDispatcher
 from repro.scenarios import SCENARIOS, expand_grid
-from repro.scenarios.runner import clear_memo, run_scenario
-from repro.scenarios.spec import PlatformPlan, ScenarioSpec
+from repro.scenarios.runner import clear_memo
 
 SCENARIO = "churn-grid"
 #: 8 seeds x nit=400: ~0.5-1s of simulated churn per point.
@@ -93,72 +86,3 @@ def test_fleet_steal_speedup(tmp_path):
         f"{MIN_STEAL_SPEEDUP}x"
     )
 
-
-#: Store-scale bench: index size and the indexed-lookup floor.
-N_RECORDS = 100_000
-MIN_INDEX_SPEEDUP = 20.0
-
-
-def test_store_indexed_lookup_speedup(tmp_path):
-    """One seek through the offset sidecar vs the full-scan lookup,
-    on a 100k-record index.
-
-    The baseline is what ``get_result`` *used to be*: a streaming
-    pass over the whole index per lookup.  The indexed path must beat
-    it by ``MIN_INDEX_SPEEDUP`` at minimum (in practice it is orders
-    of magnitude), and a cold store adopting the persisted sidecar
-    must answer without any full rebuild.
-    """
-    spec = ScenarioSpec(
-        name="bench-probe", kind="deploy", seed=1,
-        platform=PlatformPlan(kind="cluster", n_hosts=8), n_peers=4,
-    )
-    result = run_scenario(spec).to_dict()
-    store = ResultStore(tmp_path)
-    # bulk-build the index: the write path is benched elsewhere — this
-    # bench is about reading a store that is already big
-    t0 = time.perf_counter()
-    with open(store.index_path, "w") as fh:
-        for i in range(N_RECORDS):
-            fh.write(json.dumps({
-                "spec_hash": f"{i:040x}", "name": f"p{i}",
-                "label": f"l{i % 8}", "scenario": SCENARIO,
-                "result": dict(result, t=float(i)),
-            }, sort_keys=True, separators=(",", ":")) + "\n")
-    build_s = time.perf_counter() - t0
-    sample = [f"{i:040x}"
-              for i in range(0, N_RECORDS, N_RECORDS // 32)]
-
-    # the pre-sidecar baseline: one streaming pass per lookup
-    t0 = time.perf_counter()
-    hits = sum(1 for record in ResultStore(tmp_path).entries()
-               if record["spec_hash"] == sample[-1])
-    scan_s = time.perf_counter() - t0
-    assert hits == 1
-
-    indexed = ResultStore(tmp_path)
-    t0 = time.perf_counter()
-    assert indexed.get_result(sample[0]) is not None
-    rebuild_s = time.perf_counter() - t0  # one scan, then persisted
-    t0 = time.perf_counter()
-    for spec_hash in sample:
-        assert indexed.get_result(spec_hash) is not None
-    lookup_s = (time.perf_counter() - t0) / len(sample)
-
-    # a cold open adopts the persisted sidecar: no rebuild, one seek
-    cold = ResultStore(tmp_path)
-    t0 = time.perf_counter()
-    assert cold.get_result(sample[1]) is not None
-    cold_lookup_s = time.perf_counter() - t0
-    assert cold.sidecar_rebuilds == 0
-
-    speedup = scan_s / lookup_s
-    print(f"{N_RECORDS} records: build {build_s:.3f}s, full scan "
-          f"{scan_s:.4f}s, sidecar rebuild {rebuild_s:.3f}s, indexed "
-          f"{lookup_s * 1e6:.0f}us, cold adopt {cold_lookup_s * 1e6:.0f}us "
-          f"({speedup:.0f}x)")
-    assert speedup >= MIN_INDEX_SPEEDUP, (
-        f"indexed lookup only {speedup:.1f}x faster than a full scan "
-        f"({lookup_s * 1e6:.0f}us vs {scan_s:.3f}s); want >= "
-        f"{MIN_INDEX_SPEEDUP}x on {N_RECORDS} records"
-    )

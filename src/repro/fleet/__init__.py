@@ -1,15 +1,14 @@
-"""Work-stealing sweep fleet + the results store.
+"""Work-stealing sweep fleet.
 
 - :mod:`repro.fleet.protocol` — the shared-directory wire: atomic
   rename claims, heartbeats, retry/backoff, poison quarantine.
 - :mod:`repro.fleet.worker` — one steal-compute-persist loop.
 - :mod:`repro.fleet.dispatcher` — spawns/supervises workers, requeues
-  dead workers' points, writes the byte-identical sweep manifest (the
-  label's one view of its points) and is the fleet's only writer of
-  the store.
-- :mod:`repro.fleet.store` — append-only spec-hash → result log
-  (``<cache>/store/index.jsonl``) with a persistent offset sidecar,
-  behind the serve daemon's store tier.
+  dead workers' points and writes the byte-identical sweep manifest
+  (the label's one view of its points).  Every result lives in the
+  shared per-hash result cache, which sweeps and serve read too.
+- :mod:`repro.fleet.store` — ``ResultStore``, old names over that
+  cache, kept only for the ``perfbench`` benchmark.
 - :mod:`repro.fleet.telemetry` — per-worker throughput rows and
   straggler flagging behind ``fleet stats`` and the "Fleet workers"
   section of ``scenarios compare --format html``.
@@ -25,7 +24,6 @@ from .protocol import (
     backoff_delay,
     requeue_task,
 )
-from .store import ResultStore
 from .telemetry import (
     FleetStats,
     WorkerStat,
@@ -46,7 +44,6 @@ __all__ = [
     "FleetStats",
     "FleetWorker",
     "ResolvedCounter",
-    "ResultStore",
     "WorkerStat",
     "backoff_delay",
     "default_worker_id",

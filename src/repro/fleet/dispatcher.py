@@ -15,12 +15,13 @@ filesystem; the fleet needs a shared mount.)
 The output contract is the sweep's: the dispatcher writes a sweep
 manifest through the shared canonical serializer, **byte-identical**
 to the manifest an unsharded serial sweep of the same grid produces
-(pinned by ``tests/test_fleet.py``), and appends every result to
-the :class:`~repro.fleet.store.ResultStore` log the serve daemon
-reads — the fleet's only store writer; workers never open it.  The
-manifest is the label's one view of its points.  If any point
-was quarantined the manifest is marked ``"partial": true`` — the same
-refuse-to-compare semantics a killed sweep has.
+(pinned by ``tests/test_fleet.py``).  Results themselves live in the
+shared :class:`~repro.scenarios.runner.ResultCache`, one file per spec
+hash: workers write the points they compute, and seeding writes the
+points it resolves from the in-process memo.  The manifest is the
+label's one view of its points.  If any point was quarantined the
+manifest is marked ``"partial": true`` — the same refuse-to-compare
+semantics a killed sweep has.
 
 Re-running a fleet over the same grid *resumes*: done records and
 cached results survive in the fleet directory and result cache, so
@@ -50,7 +51,6 @@ from .protocol import (
     FleetDirs,
     requeue_task,
 )
-from .store import ResultStore
 from .telemetry import worker_stats as snapshot_worker_stats
 
 
@@ -209,7 +209,8 @@ class FleetDispatcher:
 
         A point already answered by the shared cache (an earlier
         sweep, another fleet) never reaches a worker — the same
-        cache-first contract ``SweepRunner.run`` has.
+        cache-first contract ``SweepRunner.run`` has; a memo hit is
+        written to the cache (see :func:`~repro.scenarios.runner.lookup`).
         """
         done = self.dirs.done_indices()
         hits = 0
@@ -345,8 +346,7 @@ class FleetDispatcher:
             self._join_workers()
         done = self.dirs.done_records()
         poison = self.dirs.poison_records()
-        outcome = self._finalize(ResultStore(self.cache_dir), done,
-                                 poison, reassignments, cached)
+        outcome = self._finalize(done, poison, reassignments, cached)
         outcome.wall = time.monotonic() - started
         return outcome
 
@@ -366,7 +366,6 @@ class FleetDispatcher:
 
     def _finalize(
         self,
-        store: ResultStore,
         done: Dict[int, Dict[str, Any]],
         poison: Dict[int, Dict[str, Any]],
         reassignments: Dict[int, int],
@@ -383,11 +382,6 @@ class FleetDispatcher:
                            "result": record["result"]})
             worker_points[record["worker"]] = \
                 worker_points.get(record["worker"], 0) + 1
-            # the fleet's one store write per point, after the workers
-            # exited; dedup'd, so a resumed fleet re-lands nothing
-            store.record(self.specs[i],
-                         ScenarioResult.from_dict(record["result"]),
-                         self.label, self.scenario)
         payload = sweep_manifest.manifest_payload(
             self.label, self.scenario, points
         )

@@ -2,13 +2,13 @@
 
 ``FleetWorker`` attaches to a fleet directory (see
 :mod:`repro.fleet.protocol`), claims one grid point at a time via the
-atomic rename protocol, and runs it through the exact same
-``run_cached`` path a sweep uses — so results land in the shared
+atomic rename protocol, and runs it through ``run_cached`` — the
+resolver a sweep uses, re-probing the cache because the claim can
+postdate seeding — so results land in the shared
 :class:`~repro.scenarios.runner.ResultCache` *before* the point is
 marked done, and a worker killed between the two leaves an idempotent
-rerun, never a lost or duplicated result.  Workers never write the
-:class:`~repro.fleet.store.ResultStore` log: the dispatcher's
-finalize records every resolved point, once.
+rerun, never a lost or duplicated result.  That per-hash file is the
+point's one stored copy.
 
 A heartbeat thread keeps the worker's liveness file fresh while a
 point computes; a compute that *raises* (as opposed to a scenario

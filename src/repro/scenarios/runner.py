@@ -14,8 +14,8 @@ levels sound:
   recomputing anything.
 
 :func:`resolve` is the one path to a result (memo → result cache →
-result store → simulation) for sweeps, fleets and serve; its
-simulation step keeps the dPerf trace cache at ``<cache root>/traces``.
+simulation) for sweeps, fleets and serve; its simulation step,
+:func:`simulate`, keeps the dPerf trace cache at ``<cache root>/traces``.
 
 ``SweepRunner`` expands parameter grids and executes cache misses
 through a ``ProcessPoolExecutor``; because the runner is pure, the
@@ -107,11 +107,12 @@ class LruMemo:
 class RunContext:
     """Every in-process cache of scenario execution, in one object.
 
-    The scenario memo (spec hash → result), the deployment templates,
-    and the dPerf memos behind :mod:`~repro.scenarios.workloads`
-    (predictor per app, calibration run per (app, nprocs), scaled
-    traces per recipe, residual curve per app) — each a bounded
-    :class:`LruMemo`, because a daemon or fleet worker lives long.
+    The scenario memo (spec hash → result and the cache roots known to
+    hold it), the deployment templates, and the dPerf memos behind
+    :mod:`~repro.scenarios.workloads` (predictor per app, calibration
+    run per (app, nprocs), scaled traces per recipe, residual curve
+    per app) — each a bounded :class:`LruMemo`, because a daemon or
+    fleet worker lives long.
     Each trace directory a caller names gets one trace
     :class:`JsonCache`, opened on first use.
 
@@ -707,49 +708,60 @@ def trace_dir(cache: Optional[ResultCache]) -> Optional[Path]:
     return cache.root / "traces" if cache is not None else None
 
 
-def lookup(spec: ScenarioSpec, cache: Optional[ResultCache] = None,
-           store: Any = None, ctx: RunContext = DEFAULT_CONTEXT
-           ) -> Tuple[Optional[ScenarioResult], Any]:
-    """The cache-first probe: ``ctx``'s memo → result cache → result
-    store.
+def _memoize(ctx: RunContext, key: str, result: ScenarioResult,
+             cache: Optional[ResultCache]) -> None:
+    """Put ``result`` in ``ctx``'s memo with the roots known to hold
+    it: ``cache``'s, when the caller just read or wrote it there."""
+    ctx.memo.put(key, (result, {cache.root} if cache is not None else set()))
 
-    ``(result, tier)`` with tier ``"memo"``, ``"result_disk"`` or
-    ``"store"``, or ``(None, None)``.  A disk hit is memoized; a hit in
-    ``store`` (a :class:`~repro.fleet.store.ResultStore`) is also
-    written to ``cache``, so the next probe never re-scans the store.
+
+def lookup(spec: ScenarioSpec, cache: Optional[ResultCache] = None,
+           ctx: RunContext = DEFAULT_CONTEXT
+           ) -> Tuple[Optional[ScenarioResult], Any]:
+    """The cache-first probe: ``ctx``'s memo → result cache.
+
+    ``(result, tier)`` with tier ``"memo"`` or ``"result_disk"``, or
+    ``(None, None)``.  A disk hit is memoized.  A memo hit is written
+    to ``cache`` when the directory lacks it, so every cache root a
+    caller names holds the points it resolved; the memo entry keeps
+    the roots known to hold it, so each root is checked once.
     """
     key = spec.spec_hash()
-    result = ctx.memo.get(key)
-    if result is not None:
+    hit = ctx.memo.get(key)
+    if hit is not None:
+        result, on_disk = hit
+        if cache is not None and cache.root not in on_disk:
+            if key not in cache:
+                cache.put(spec, result)
+            on_disk.add(cache.root)
         return result, "memo"
     if cache is not None:
         result = cache.get(spec)
         if result is not None:
-            ctx.memo.put(key, result)
+            _memoize(ctx, key, result, cache)
             return result, "result_disk"
-    if store is not None:
-        result = store.get_result(key)
-        if result is not None:
-            ctx.memo.put(key, result)
-            if cache is not None:
-                cache.put(spec, result)
-            return result, "store"
     return None, None
 
 
-def resolve(spec: ScenarioSpec, cache: Optional[ResultCache] = None,
-            store: Any = None, ctx: RunContext = DEFAULT_CONTEXT
-            ) -> Tuple[ScenarioResult, str]:
-    """:func:`lookup`, or a simulation (tier ``"simulate"``) that is
-    memoized and persisted, with dPerf traces under :func:`trace_dir`."""
-    result, tier = lookup(spec, cache, store, ctx)
-    if result is not None:
-        return result, tier
+def simulate(spec: ScenarioSpec, cache: Optional[ResultCache] = None,
+             ctx: RunContext = DEFAULT_CONTEXT) -> ScenarioResult:
+    """Run ``spec`` (dPerf traces under :func:`trace_dir`), memoize it
+    and persist it to ``cache``: the miss path every caller shares."""
     result = run_scenario(spec, ctx, trace_dir(cache))
-    ctx.memo.put(spec.spec_hash(), result)
+    _memoize(ctx, spec.spec_hash(), result, cache)
     if cache is not None:
         cache.put(spec, result)
-    return result, "simulate"
+    return result
+
+
+def resolve(spec: ScenarioSpec, cache: Optional[ResultCache] = None,
+            ctx: RunContext = DEFAULT_CONTEXT
+            ) -> Tuple[ScenarioResult, str]:
+    """:func:`lookup`, or :func:`simulate` (tier ``"simulate"``)."""
+    result, tier = lookup(spec, cache, ctx)
+    if result is not None:
+        return result, tier
+    return simulate(spec, cache, ctx), "simulate"
 
 
 def run_cached(
@@ -763,7 +775,8 @@ def memo_get(spec_hash: str) -> Optional["ScenarioResult"]:
     """The default context's memo entry for ``spec_hash``, or None (a
     peek that reads no disk tier; see :func:`lookup` for the full
     probe)."""
-    return DEFAULT_CONTEXT.memo.get(spec_hash)
+    hit = DEFAULT_CONTEXT.memo.get(spec_hash)
+    return hit[0] if hit is not None else None
 
 
 def clear_memo() -> None:
@@ -808,7 +821,7 @@ def _pool_run(payload: Dict[str, Any]) -> Dict[str, Any]:
     spec = ScenarioSpec.from_dict(payload["spec"])
     cache_dir = payload.get("cache_dir")
     cache = ResultCache(cache_dir) if cache_dir else None
-    return run_cached(spec, cache).to_dict()
+    return simulate(spec, cache).to_dict()
 
 
 def shard_indices(
@@ -894,7 +907,7 @@ class SweepRunner:
             for spec in misses:
                 # persisted per point, before the manifest hook: a
                 # killed serial sweep resumes like a pooled one
-                result = run_cached(spec, self.cache)
+                result = simulate(spec, self.cache)
                 computed.append(result)
                 if on_result is not None:
                     on_result(spec, result)
@@ -952,9 +965,10 @@ class SweepRunner:
             for future in as_completed(futures):
                 i = futures[future]
                 result = ScenarioResult.from_dict(future.result())
-                # the worker already persisted it (run_cached in
+                # the worker already persisted it (simulate in
                 # _pool_run); the parent only memoizes
-                DEFAULT_CONTEXT.memo.put(misses[i].spec_hash(), result)
+                _memoize(DEFAULT_CONTEXT, misses[i].spec_hash(), result,
+                         self.cache)
                 computed[i] = result
                 if on_result is not None:
                     on_result(misses[i], result)

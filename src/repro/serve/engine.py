@@ -2,8 +2,7 @@
 
 :class:`QueryEngine` is the serving tier's in-process core: it opens
 every durable store **once, at startup** — the scenario
-:class:`~repro.scenarios.runner.ResultCache`, the fleet's
-:class:`~repro.fleet.store.ResultStore` log and the on-disk
+:class:`~repro.scenarios.runner.ResultCache` and the on-disk
 :class:`AnswerCache` tier — and then answers queries through a
 three-level resolution:
 
@@ -15,8 +14,8 @@ three-level resolution:
    whole history without re-simulating anything.
 3. **Compute**: the seed pool's reference scenarios, each resolved
    by :func:`~repro.scenarios.runner.resolve` (scenario memo → result
-   cache → result store → simulation, dPerf traces under ``traces/``)
-   with one counter bumped for the tier that answered.
+   cache → simulation, dPerf traces under ``traces/``) with one
+   counter bumped for the tier that answered.
 
 Compute goes through the engine's
 :class:`~repro.scenarios.runner.RunContext` (the process default
@@ -56,7 +55,7 @@ DEFAULT_MEMO_CAPACITY = 4096
 
 #: The ServeStats counter each resolver tier bumps (a scenario-memo
 #: hit bumps none).
-_TIER_COUNTERS = {"result_disk": "result_disk_hits", "store": "store_hits",
+_TIER_COUNTERS = {"result_disk": "result_disk_hits",
                   "simulate": "scenario_runs"}
 
 
@@ -168,8 +167,9 @@ class QueryEngine:
             self.answer_cache: Optional[AnswerCache] = AnswerCache(
                 root / "answers"
             )
-            # the store's spec-hash → result log: results computed
-            # by any fleet resolve here without re-simulating
+            #: Old store names over the result cache, kept only because
+            #: the ``perfbench`` benchmark reads them; nothing here
+            #: calls it.
             self.result_store: Optional[ResultStore] = ResultStore(root)
         else:
             self.result_cache = None
@@ -275,8 +275,7 @@ class QueryEngine:
         results = []
         for spec in query.scenario_specs():
             self._check_deadline(deadline)
-            result, tier = resolve(spec, self.result_cache,
-                                   self.result_store, self.ctx)
+            result, tier = resolve(spec, self.result_cache, self.ctx)
             if tier in _TIER_COUNTERS:
                 self.stats.bump(_TIER_COUNTERS[tier])
             results.append(result)
@@ -350,13 +349,6 @@ class QueryEngine:
             snap["answer_cache_disk_writes"] = self.answer_cache.disk_writes
             snap["answer_cache_read_errors"] = \
                 self.answer_cache.cache_read_errors
-        if self.result_store is not None:
-            snap["store_sidecar_rebuilds"] = \
-                self.result_store.sidecar_rebuilds
-            snap["store_sidecar_tail_refreshes"] = \
-                self.result_store.sidecar_tail_refreshes
-            snap["store_sidecar_persists"] = \
-                self.result_store.sidecar_persists
         return snap
 
     def disk_io(self) -> int:

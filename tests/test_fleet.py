@@ -1,16 +1,16 @@
-"""The work-stealing fleet and the results store.
+"""The work-stealing fleet.
 
 Contracts pinned here:
 
 - **claims are exclusive** — the atomic-rename steal has exactly one
   winner per point;
-- **store appends are deduplicated and torn-tolerant** — one line per
-  spec hash whatever label records it, readers skip a killed writer's
-  trailing line;
+- **one stored result per point** — a fleet leaves exactly one
+  per-hash result-cache file per grid point, whatever was killed,
+  resumed or re-run;
 - **byte-identity** — a fleet run's manifest is byte-for-byte the
   manifest a serial unsharded sweep writes;
 - **fault paths** — a worker SIGKILLed mid-point is detected and its
-  point reassigned *exactly once* with no duplicate store/cache
+  point reassigned *exactly once* with no duplicate result
   writes; a point that keeps killing workers is quarantined as poison
   after its retry budget, with a monotone backoff trail, while every
   other point still completes.
@@ -30,7 +30,6 @@ from repro.fleet import (
     FleetDirs,
     FleetDispatcher,
     FleetWorker,
-    ResultStore,
     backoff_delay,
     fleet_stats,
     format_stats,
@@ -38,6 +37,7 @@ from repro.fleet import (
     worker_stats,
 )
 from repro.fleet.cli import main as fleet_main
+from repro.fleet.store import ResultStore
 from repro.fleet.telemetry import WorkerStat, flag_stragglers
 from repro.scenarios import SCENARIOS, expand_grid, run_scenario
 from repro.scenarios.cli import main as scenarios_main
@@ -88,237 +88,113 @@ def _probe_result(seed=1):
     return spec, run_scenario(spec)
 
 
-def _append_line(store, record):
-    """A concurrent writer's raw append: lands a physical line past
-    this process's dedup (the two-process refresh→write window)."""
-    with open(store.index_path, "a") as fh:
-        fh.write(json.dumps(record, sort_keys=True,
-                            separators=(",", ":")) + "\n")
+def _assert_one_result_file_per_point(cache: Path, manifest: Path):
+    """Exactly one per-hash result file per grid point in ``cache``,
+    each loading to its manifest entry's result."""
+    points = json.loads(manifest.read_text())["points"]
+    assert len(points) == 12
+    assert sorted(p.stem for p in cache.glob("*.json")) == \
+        sorted(p["spec_hash"] for p in points)
+    results = ResultCache(cache)
+    for point in points:
+        assert results.load(point["spec_hash"])["result"] == point["result"]
 
 
-def _persist_full_sidecar(cache, pairs):
-    """Record ``pairs`` under label "a", then have a fresh reader
-    rebuild the sidecar from the index — the rebuild persists a
-    snapshot covering every record."""
-    store = ResultStore(cache)
-    for spec, result in pairs:
-        store.record(spec, result, "a", SCENARIO)
-    store.offsets_path.unlink()
-    rebuilt = ResultStore(cache)
-    assert len(rebuilt) == len(pairs)
-    assert rebuilt.sidecar_rebuilds == 1
-    payload = json.loads(rebuilt.offsets_path.read_text())
-    assert payload["covers"] == rebuilt.index_path.stat().st_size
-    return rebuilt
-
-
-# -- the results store -------------------------------------------------------
+# -- the ResultStore delegate -------------------------------------------------
 
 class TestResultStore:
+    """The old store names over the result cache: ``record`` is
+    put-if-absent into ``<cache>/<hash>.json``, ``get_result`` loads
+    that entry, and the sidecar counters stay 0."""
+
     def test_record_dedups_on_hash(self, tmp_path):
         store = ResultStore(tmp_path)
         spec, result = _probe_result()
         assert store.record(spec, result, "a", SCENARIO) is True
         assert store.record(spec, result, "a", SCENARIO) is False
-        assert len(store) == 1
+        assert [p.stem for p in tmp_path.glob("*.json")] \
+            == [result.spec_hash]
 
-    def test_same_hash_under_two_labels_appends_one_line(self, tmp_path):
+    def test_same_hash_under_two_labels_writes_one_file(self, tmp_path):
         """The label is provenance, not part of the key: a second
-        label recording a logged hash appends nothing."""
+        label recording a cached hash writes nothing."""
         spec, result = _probe_result()
         store = ResultStore(tmp_path)
         assert store.record(spec, result, "a", SCENARIO) is True
         assert store.record(spec, result, "b", "other") is False
-        assert ResultStore(tmp_path).record(spec, result, "c",
-                                            SCENARIO) is False
-        lines = store.index_path.read_text().splitlines()
-        assert len(lines) == 1
-        assert json.loads(lines[0])["label"] == "a"
-        assert len(ResultStore(tmp_path)) == 1
+        assert store.cache.disk_writes == 1
+        assert len(ResultCache(tmp_path)) == 1
 
     def test_dedup_survives_reopening(self, tmp_path):
         spec, result = _probe_result()
         ResultStore(tmp_path).record(spec, result, "a", SCENARIO)
-        again = ResultStore(tmp_path)  # _seen loaded from disk
+        again = ResultStore(tmp_path)
         assert again.record(spec, result, "a", SCENARIO) is False
-        assert len(again) == 1
+        assert again.cache.disk_writes == 0
 
-    def test_torn_trailing_line_is_skipped(self, tmp_path):
-        store = ResultStore(tmp_path)
+    def test_record_keeps_an_existing_entry(self, tmp_path):
+        """Put-if-absent: a result already cached for the spec (by a
+        sweep, say) is never overwritten by a later ``record``."""
         spec, result = _probe_result()
-        store.record(spec, result, "a", SCENARIO)
-        with open(store.index_path, "a") as fh:
-            fh.write('{"label": "a", "spec_hash": "beef", "trunc')
-        fresh = ResultStore(tmp_path)
-        assert [e["spec_hash"] for e in fresh.entries()] \
-            == [result.spec_hash]
-        assert len(fresh) == 1
-        assert fresh.get_result("beef") is None
-        assert fresh.get_result(result.spec_hash).canonical_json() \
-            == result.canonical_json()
-
-    def test_duplicate_hash_lines_newest_wins(self, tmp_path):
-        spec, result = _probe_result()
-        # two lines of one hash — what two processes recording it in
-        # the same refresh→write window produce; the second lands as
-        # a raw duplicate line, past any single instance's dedup
+        ResultCache(tmp_path).put(spec, result)
+        other = ScenarioResult.from_dict(dict(result.to_dict(), t=2.0))
         store = ResultStore(tmp_path)
-        store.record(spec, ScenarioResult.from_dict(
-            dict(result.to_dict(), t=1.0)), "a", SCENARIO)
-        _append_line(store, {
-            "spec_hash": result.spec_hash, "name": spec.name,
-            "label": "b", "scenario": SCENARIO,
-            "result": dict(result.to_dict(), t=2.0),
-        })
-        assert ResultStore(tmp_path).get_result(result.spec_hash).t == 2.0
-        assert store.get_result(result.spec_hash).t == 2.0
-
-    def test_len_dedups_duplicate_lines(self, tmp_path):
-        """Accounting must match what readers actually return: a
-        duplicate physical line from a concurrent writer counts
-        once in ``len``, like it reads once."""
-        spec, result = _probe_result()
-        store = ResultStore(tmp_path)
-        store.record(spec, result, "a", SCENARIO)
-        _append_line(store, {
-            "spec_hash": result.spec_hash, "name": spec.name,
-            "label": "a", "scenario": SCENARIO,
-            "result": result.to_dict(),
-        })
-        assert store.index_path.read_text().count('"label":"a"') == 2
-        fresh = ResultStore(tmp_path)
-        assert len(fresh) == 1
-
-    def test_get_result_returns_newest(self, tmp_path):
-        spec, result = _probe_result()
-        store = ResultStore(tmp_path)
-        store.record(spec, result, "a", SCENARIO)
+        assert store.record(spec, other, "a", SCENARIO) is False
         assert store.get_result(result.spec_hash).canonical_json() \
             == result.canonical_json()
-        assert store.get_result("nope") is None
 
-    def test_persisted_sidecar_is_adopted_not_rebuilt(self, tmp_path):
-        pairs = [_probe_result(seed=s) for s in (1, 2, 3)]
-        _persist_full_sidecar(tmp_path, pairs)
-        fresh = ResultStore(tmp_path)
-        for _spec, result in pairs:
-            assert fresh.get_result(result.spec_hash).canonical_json() \
-                == result.canonical_json()
-        # the lookups went through the adopted sidecar: no full scan,
-        # and no tail either — the snapshot covered every record
-        assert fresh.sidecar_rebuilds == 0
-        assert fresh.sidecar_tail_refreshes == 0
-
-    def test_old_format_sidecar_and_generation_file_are_adopted(
-            self, tmp_path):
-        """Stores written by earlier versions carry a ``generation``
-        key in the sidecar and a ``store/generation`` stamp beside
-        it; both are ignored, and the sidecar is adopted as is."""
-        pairs = [_probe_result(seed=s) for s in (1, 2)]
-        store = _persist_full_sidecar(tmp_path, pairs)
-        payload = json.loads(store.offsets_path.read_text())
-        payload["generation"] = 1
-        store.offsets_path.write_text(json.dumps(payload))
-        (store.root / "generation").write_text(
-            json.dumps({"generation": 1, "compacted_at": 0.0}))
-        fresh = ResultStore(tmp_path)
-        for _spec, result in pairs:
-            assert fresh.get_result(result.spec_hash).canonical_json() \
-                == result.canonical_json()
-        assert len(fresh) == 2
-        assert fresh.sidecar_rebuilds == 0
-
-    def test_parent_format_sidecar_with_label_keys_is_adopted(
-            self, tmp_path):
-        """A sidecar written before the per-label key sets were
-        dropped still carries ``keys``; it is adopted with that field
-        ignored (no rebuild), and the next persist drops it."""
-        pairs = [_probe_result(seed=s) for s in (1, 2)]
-        store = _persist_full_sidecar(tmp_path, pairs)
-        payload = json.loads(store.offsets_path.read_text())
-        assert "keys" not in payload
-        payload["keys"] = {"a": sorted(r.spec_hash for _s, r in pairs),
-                           "gone": ["not-a-logged-hash"]}
-        store.offsets_path.write_text(json.dumps(payload))
-        fresh = ResultStore(tmp_path)
-        assert len(fresh) == 2
-        for _spec, result in pairs:
-            assert fresh.get_result(result.spec_hash).canonical_json() \
-                == result.canonical_json()
-        assert fresh.get_result("not-a-logged-hash") is None
-        assert fresh.sidecar_rebuilds == 0
-        assert fresh.sidecar_tail_refreshes == 0
-
-    def test_torn_sidecar_is_rebuilt_from_the_index(self, tmp_path):
+    def test_get_result_loads_the_per_hash_entry(self, tmp_path):
         spec, result = _probe_result()
         store = ResultStore(tmp_path)
         store.record(spec, result, "a", SCENARIO)
-        store.offsets_path.write_text('{"covers": 0, "offs')
-        fresh = ResultStore(tmp_path)
-        assert fresh.get_result(result.spec_hash).canonical_json() \
+        assert ResultStore(tmp_path).get_result(
+            result.spec_hash).canonical_json() == result.canonical_json()
+        assert store.get_result("nope") is None
+
+    def test_torn_entry_is_a_miss(self, tmp_path):
+        """A half-written per-hash file reads as absent, and ``record``
+        replaces it."""
+        spec, result = _probe_result()
+        (tmp_path / f"{result.spec_hash}.json").write_text('{"spec": {"tr')
+        store = ResultStore(tmp_path)
+        assert store.get_result(result.spec_hash) is None
+        assert store.record(spec, result, "a", SCENARIO) is True
+        assert store.get_result(result.spec_hash).canonical_json() \
             == result.canonical_json()
-        assert fresh.sidecar_rebuilds == 1
-        # the rebuild repaired the on-disk sidecar too
-        payload = json.loads(store.offsets_path.read_text())
-        assert payload["offsets"][result.spec_hash] == 0
-        assert payload["covers"] == store.index_path.stat().st_size
 
-    def test_lying_offsets_caught_by_hash_check(self, tmp_path):
-        """A sound-looking sidecar with wrong offsets (one describing
-        another index file) is caught by the read-back hash mismatch
-        and rebuilt — the sidecar can be stale, never wrong."""
+    def test_sidecar_counters_stay_zero(self, tmp_path):
         (s1, r1), (s2, r2) = _probe_result(seed=1), _probe_result(seed=2)
-        store = _persist_full_sidecar(tmp_path, [(s1, r1), (s2, r2)])
-        payload = json.loads(store.offsets_path.read_text())
-        payload["offsets"][r1.spec_hash] = \
-            payload["offsets"][r2.spec_hash]
-        store.offsets_path.write_text(json.dumps(payload))
-        fresh = ResultStore(tmp_path)
-        assert fresh.get_result(r1.spec_hash).canonical_json() \
-            == r1.canonical_json()
-        assert fresh.sidecar_rebuilds == 1
-
-    def test_warm_reader_tails_another_writers_records(self, tmp_path):
-        """A reader with a warm sidecar picks up records another writer
-        appended by scanning only the grown tail — no rebuild."""
-        (s1, r1), (s2, r2) = _probe_result(seed=1), _probe_result(seed=2)
-        ResultStore(tmp_path).record(s1, r1, "a", SCENARIO)
-        reader = ResultStore(tmp_path)
-        assert reader.get_result(r1.spec_hash).canonical_json() \
-            == r1.canonical_json()
-        rebuilds = reader.sidecar_rebuilds
-        tails = reader.sidecar_tail_refreshes
-        ResultStore(tmp_path).record(s2, r2, "b", SCENARIO)
-        assert reader.get_result(r2.spec_hash).canonical_json() \
-            == r2.canonical_json()
-        assert len(reader) == 2
-        assert reader.sidecar_rebuilds == rebuilds
-        assert reader.sidecar_tail_refreshes == tails + 1
-
-    def test_regrown_index_caught_by_warm_reader(self, tmp_path):
-        """The index is deleted and re-grown under a warm reader, with
-        the records in another order and one more: the reader's
-        offsets now point at the wrong lines, and the read-back hash
-        check rebuilds instead of answering the wrong result."""
-        pairs = [_probe_result(seed=s) for s in (1, 2, 3)]
-        (s1, r1), (s2, r2), (s3, r3) = pairs
-        writer = ResultStore(tmp_path)
+        writer, reader = ResultStore(tmp_path), ResultStore(tmp_path)
         writer.record(s1, r1, "a", SCENARIO)
-        writer.record(s2, r2, "a", SCENARIO)
-        reader = ResultStore(tmp_path)
-        assert reader.get_result(r1.spec_hash).canonical_json() \
-            == r1.canonical_json()
-        rebuilds = reader.sidecar_rebuilds
-        writer.index_path.unlink()
-        writer.offsets_path.unlink()
-        regrown = ResultStore(tmp_path)
-        for spec, result in (pairs[1], pairs[0], pairs[2]):
-            regrown.record(spec, result, "a", SCENARIO)
-        for _spec, result in pairs:
-            assert reader.get_result(result.spec_hash).canonical_json() \
-                == result.canonical_json()
-        assert reader.sidecar_rebuilds > rebuilds
-        assert len(reader) == 3
+        assert reader.get_result(r1.spec_hash) is not None
+        writer.record(s2, r2, "b", SCENARIO)
+        assert reader.get_result(r2.spec_hash) is not None
+        for store in (writer, reader):
+            assert store.sidecar_rebuilds == 0
+            assert store.sidecar_tail_refreshes == 0
+
+    def test_old_store_directory_is_ignored(self, tmp_path):
+        """A ``store/`` log left by an older version is read by no
+        one: a result only it holds is a miss, and a fleet run over
+        the cache leaves the directory as it found it."""
+        spec, result = _probe_result()
+        old = tmp_path / "store"
+        old.mkdir()
+        line = json.dumps({"spec_hash": result.spec_hash, "label": "a",
+                           "scenario": SCENARIO, "name": spec.name,
+                           "result": result.to_dict()})
+        (old / "index.jsonl").write_text(line + "\n")
+        assert ResultStore(tmp_path).get_result(result.spec_hash) is None
+        clear_memo()
+        outcome = FleetDispatcher(
+            [spec], label="g", scenario=SCENARIO, cache_dir=tmp_path,
+            workers=1, wall_timeout=60.0, spawn_env=_spawn_env(),
+        ).run()
+        assert outcome.complete and outcome.computed == 1
+        assert outcome.results()[0].canonical_json() \
+            == result.canonical_json()
+        assert sorted(p.name for p in old.iterdir()) == ["index.jsonl"]
+        assert (old / "index.jsonl").read_text() == line + "\n"
 
 
 # -- the steal protocol -------------------------------------------------------
@@ -566,7 +442,7 @@ class TestTelemetry:
 class TestFleetRuns:
     def test_worker_never_writes_the_store(self, tmp_path):
         """A worker persists to the result cache and its done record
-        only: the dispatcher's finalize is the store's one writer."""
+        only: no ``store/`` log exists beside them."""
         clear_memo()
         cache = tmp_path / "cache"
         spec = _specs()[0]
@@ -581,7 +457,7 @@ class TestFleetRuns:
         assert worker.run() == 1
         assert dirs.done_indices() == {0}
         assert ResultCache(cache).get(spec) is not None
-        assert not (cache / "store" / "index.jsonl").exists()
+        assert not (cache / "store").exists()
 
     def test_fleet_manifest_byte_identical_to_serial_sweep(self, tmp_path):
         serial = _serial_manifest(tmp_path / "serial")
@@ -619,11 +495,8 @@ class TestFleetRuns:
         # at least two workers actually stole work
         assert len(outcome.worker_points) >= 2
         assert outcome.manifest_path.read_bytes() == serial.read_bytes()
-        # every computed point was indexed exactly once: one physical
-        # index line per grid point, not just twelve distinct keys
-        store = ResultStore(tmp_path / "fleet")
-        assert len(store) == 12
-        assert len(store.index_path.read_text().splitlines()) == 12
+        _assert_one_result_file_per_point(tmp_path / "fleet",
+                                          outcome.manifest_path)
 
     def test_fleet_resolves_from_shared_cache_without_workers(
             self, tmp_path):
@@ -639,21 +512,37 @@ class TestFleetRuns:
         assert outcome.cached == 12 and outcome.computed == 0
         assert outcome.manifest_path.read_bytes() == serial.read_bytes()
 
-    def test_finalize_rerun_appends_no_index_lines(self, tmp_path):
-        """The dispatcher's finalize dedups against the store: a rerun
-        of an indexed label writes nothing, so the index keeps exactly
-        one physical line per grid point."""
+    def test_finalize_rerun_writes_no_result_files(self, tmp_path):
+        """Re-running a fleet over a swept cache adds no result file:
+        the cache keeps exactly one per grid point, and no ``store/``
+        log appears."""
         cache = tmp_path / "shared"
         _serial_manifest(cache)
-        index = ResultStore(cache).index_path
         for _run in range(2):
             outcome = FleetDispatcher(
                 _specs(), label="g", scenario=SCENARIO, cache_dir=cache,
                 workers=0, wall_timeout=60.0,
             ).run()
             assert outcome.complete
-            assert len(index.read_text().splitlines()) == 12
-        assert len(ResultStore(cache)) == 12
+            _assert_one_result_file_per_point(cache, outcome.manifest_path)
+        assert not (cache / "store").exists()
+
+    def test_seeding_writes_memo_hits_to_the_fleet_root(self, tmp_path):
+        """Points a sweep into another root left in the memo resolve
+        at seeding, and each still lands in the fleet's own root."""
+        from repro.scenarios import SweepRunner
+
+        clear_memo()
+        specs = _specs()[:4]
+        SweepRunner(cache_dir=tmp_path / "a").run(specs, parallel=False)
+        outcome = FleetDispatcher(
+            specs, label="g", scenario=SCENARIO, cache_dir=tmp_path / "b",
+            workers=0, wall_timeout=60.0,
+        ).run()
+        assert outcome.complete and outcome.cached == 4
+        cache = ResultCache(tmp_path / "b")
+        assert len(cache) == 4
+        assert [cache.get(s) for s in specs] == outcome.results()
 
     def test_rerun_resumes_from_done_records(self, tmp_path):
         cache = tmp_path / "fleet"
@@ -684,8 +573,7 @@ class TestFleetRuns:
         assert again.complete and again.computed == 0
         assert again.manifest_path.read_bytes() \
             == first.manifest_path.read_bytes()
-        # resume did not double-index the store
-        assert len(ResultStore(cache)) == 12
+        _assert_one_result_file_per_point(cache, again.manifest_path)
 
 class TestFleetFaults:
     def test_sigkilled_worker_point_reassigned_exactly_once(
@@ -693,7 +581,7 @@ class TestFleetFaults:
         """SIGKILL a worker mid-point: the dispatcher notices the dead
         process, requeues its claimed point once, a surviving worker
         computes it, and the sweep still lands byte-identical with no
-        duplicate store writes."""
+        duplicate result writes."""
         serial = _serial_manifest(tmp_path / "serial")
         clear_memo()
         specs = _specs()
@@ -737,11 +625,12 @@ class TestFleetFaults:
         outcome = box["outcome"]
         assert outcome.complete
         assert outcome.reassignments == {5: 1}
-        # exactly one done record per grid index, one store record per
+        # exactly one done record per grid index, one result file per
         # point: the reassignment produced no duplicate writes
         done = dispatcher.dirs.done_records()
         assert sorted(done) == list(range(12))
-        assert len(ResultStore(tmp_path / "fleet")) == 12
+        _assert_one_result_file_per_point(tmp_path / "fleet",
+                                          outcome.manifest_path)
         assert outcome.manifest_path.read_bytes() == serial.read_bytes()
 
     def test_poison_point_quarantined_after_retry_budget(self, tmp_path):

@@ -464,38 +464,71 @@ def test_engine_lru_eviction_falls_back_to_disk(tmp_path):
     assert again.canonical_json() == a1.canonical_json()
 
 
-def test_engine_store_tier_promotes_into_result_cache(tmp_path):
-    """A pool only a fleet recorded (result-store log, no per-spec
-    cache files) answers from the store tier, and the promotion writes
-    each member's result-cache file: the next engine over the same
-    directory reads the faster tier and never re-probes the store."""
-    from repro.fleet.store import ResultStore
-    from repro.scenarios.runner import ResultCache
+def test_engine_answers_from_a_fleet_cache_root(tmp_path):
+    """A fleet seeded from the in-process memo leaves every pool
+    member's result file in its cache root, so a fresh engine over
+    that root answers from the result cache and simulates nothing."""
+    from repro.fleet import FleetDispatcher
+    from repro.scenarios.runner import resolve
 
     q = tiny_query()
     specs = q.scenario_specs()
-    store = ResultStore(tmp_path)
     for spec in specs:
-        store.record(spec, run_scenario(spec), label="fleet",
-                     scenario="tiny")
-    clear_memo()
-    assert len(ResultCache(tmp_path)) == 0
-
-    first = QueryEngine(cache_dir=tmp_path)
-    answer = first.answer(q)
-    assert first.stats.get("store_hits") == q.pool
-    assert first.stats.get("scenario_runs") == 0
-    assert first.stats.get("result_disk_hits") == 0
-    cache = ResultCache(tmp_path)
-    assert all(cache.get(spec) is not None for spec in specs)
+        resolve(spec)  # memo only: no cache root named
+    outcome = FleetDispatcher(specs, label="pool", scenario="tiny",
+                              cache_dir=tmp_path, workers=0,
+                              wall_timeout=60.0).run()
+    assert outcome.complete and outcome.cached == q.pool
 
     clear_memo()  # a new process
-    second = QueryEngine(cache_dir=tmp_path)
-    again = second.answer(q.with_override("percentile", 50.0))
-    assert second.stats.get("result_disk_hits") == q.pool
-    assert second.stats.get("store_hits") == 0
-    assert second.stats.get("scenario_runs") == 0
-    assert answer.pool == again.pool == q.pool
+    engine = QueryEngine(cache_dir=tmp_path)
+    engine.answer(q)
+    assert engine.stats.get("result_disk_hits") == q.pool
+    assert engine.stats.get("scenario_runs") == 0
+
+
+def test_engine_ignores_an_old_store_directory(tmp_path):
+    """A ``store/`` log left by an older version is no resolver tier:
+    a pool only it holds is simulated, and the log is left as is."""
+    q = tiny_query()
+    old = tmp_path / "store"
+    old.mkdir()
+    lines = "".join(
+        json.dumps({"spec_hash": spec.spec_hash(), "label": "fleet",
+                    "scenario": "tiny", "name": spec.name,
+                    "result": run_scenario(spec).to_dict()}) + "\n"
+        for spec in q.scenario_specs())
+    (old / "index.jsonl").write_text(lines)
+    engine = QueryEngine(cache_dir=tmp_path)
+    engine.answer(q)
+    assert engine.stats.get("scenario_runs") == q.pool
+    assert engine.stats.get("result_disk_hits") == 0
+    assert (old / "index.jsonl").read_text() == lines
+
+
+def test_engine_stats_have_no_store_tier(tmp_path):
+    """The counters name only the tiers that exist: memo, result
+    cache, simulate."""
+    engine = QueryEngine(cache_dir=tmp_path)
+    engine.answer(tiny_query())
+    snap = engine.snapshot()
+    assert not [key for key in snap if "store" in key or "sidecar" in key]
+    assert snap["scenario_runs"] == TINY["pool"]
+
+
+def test_engine_result_store_reads_the_engine_root(tmp_path):
+    """``QueryEngine.result_store`` (kept for the benchmark) is a view
+    of the engine's result cache: every pool member the engine priced
+    is there, and a memory-only engine has none."""
+    engine = QueryEngine(cache_dir=tmp_path)
+    q = tiny_query()
+    engine.answer(q)
+    store = engine.result_store
+    for spec in q.scenario_specs():
+        assert store.get_result(spec.spec_hash()) \
+            == engine.result_cache.get(spec)
+    assert store.sidecar_rebuilds == store.sidecar_tail_refreshes == 0
+    assert QueryEngine(cache_dir=None).result_store is None
 
 
 def test_engine_memory_only_mode():

@@ -384,27 +384,85 @@ class TestLruMemo:
 
 
 class TestResolver:
-    """``lookup``/``resolve``: the one memo → result cache → store →
-    simulate path, and the trace directory that follows the cache."""
+    """``lookup``/``resolve``: the one memo → result cache → simulate
+    path, and the trace directory that follows the cache."""
 
     def test_tiers_in_order(self, tmp_path):
-        from repro.fleet.store import ResultStore
-
         ctx, spec = RunContext(), _spec()
-        cache, store = ResultCache(tmp_path / "c"), ResultStore(tmp_path / "s")
-        assert lookup(spec, cache, store, ctx) == (None, None)
+        cache = ResultCache(tmp_path / "c")
+        assert lookup(spec, cache, ctx) == (None, None)
         result, tier = resolve(spec, cache, ctx=ctx)
         assert tier == "simulate" and cache.get(spec) == result
         assert resolve(spec, cache, ctx=ctx) == (result, "memo")
         ctx.memo.clear()
         assert resolve(spec, cache, ctx=ctx) == (result, "result_disk")
-        # a store-only result is promoted into the memo and the cache
-        other = _spec(seed=5)
-        store.record(other, run_scenario(other), label="l", scenario="s")
-        assert cache.get(other) is None
-        assert lookup(other, cache, store, ctx)[1] == "store"
-        assert cache.get(other) is not None
-        assert lookup(other, cache, store, ctx)[1] == "memo"
+
+    def test_memo_hit_checks_each_root_once(self, tmp_path):
+        """A memo hit stats a cache root at most once: the first hit on
+        a new root writes the missing result, later hits touch no disk."""
+        ctx, spec = RunContext(), _spec()
+        a, b = ResultCache(tmp_path / "a"), ResultCache(tmp_path / "b")
+        result = resolve(spec, a, ctx=ctx)[0]
+        io_a = (a.disk_reads, a.disk_writes)
+        for _ in range(3):
+            assert lookup(spec, a, ctx=ctx) == (result, "memo")
+            assert lookup(spec, b, ctx=ctx) == (result, "memo")
+        assert (a.disk_reads, a.disk_writes) == io_a
+        assert (b.disk_reads, b.disk_writes) == (1, 1)
+        assert b.get(spec) == result
+
+    def test_memo_hit_keeps_a_root_that_holds_it(self, tmp_path):
+        """A memo hit on a root that already holds the entry (another
+        process wrote it) writes nothing there."""
+        ctx, spec = RunContext(), _spec()
+        result = resolve(spec, ResultCache(tmp_path / "a"), ctx=ctx)[0]
+        ResultCache(tmp_path / "b").put(spec, result)
+        before = (tmp_path / "b" / f"{spec.spec_hash()}.json").stat()
+        b = ResultCache(tmp_path / "b")
+        assert lookup(spec, b, ctx=ctx) == (result, "memo")
+        assert (b.disk_reads, b.disk_writes) == (1, 0)
+        after = (tmp_path / "b" / f"{spec.spec_hash()}.json").stat()
+        assert after.st_mtime_ns == before.st_mtime_ns
+
+    def test_sweep_writes_memo_hits_to_its_own_root(self, tmp_path):
+        """A second sweep over points the memo already holds still
+        leaves each of them in its own cache root, so ``--from-cache``
+        of that root carries them."""
+        clear_memo()
+        specs = [_spec(seed=s) for s in (21, 22, 23, 24)]
+        SweepRunner(cache_dir=tmp_path / "a").run(specs, parallel=False)
+        second = SweepRunner(cache_dir=tmp_path / "b")
+        results = second.run(specs, parallel=False)
+        assert second.hits == 4 and second.misses == 0
+        cache = ResultCache(tmp_path / "b")
+        assert len(cache) == 4
+        assert [cache.get(s) for s in specs] == results
+
+    def test_serial_miss_probes_the_cache_once(self, tmp_path):
+        """A serial sweep's miss reads the cache once (the lookup) and
+        writes it once (the simulate step), never re-probing it."""
+        clear_memo()
+        runner = SweepRunner(cache_dir=tmp_path)
+        runner.run([_spec(seed=31)], parallel=False)
+        assert runner.misses == 1
+        assert (runner.cache.disk_reads, runner.cache.disk_writes) == (1, 1)
+
+    def test_pool_misses_are_persisted_by_the_workers(self, tmp_path):
+        """A pooled sweep's misses are written by the pool workers, once
+        each; the parent reads each once (the lookup), writes none, and
+        memoizes them as held by its root, so a re-run reads no disk."""
+        clear_memo()
+        specs = [_spec(seed=s) for s in (41, 42)]
+        runner = SweepRunner(cache_dir=tmp_path, max_workers=2)
+        results = runner.run(specs, parallel=True)
+        assert runner.misses == 2
+        assert (runner.cache.disk_reads, runner.cache.disk_writes) == (2, 0)
+        cache = ResultCache(tmp_path)
+        assert len(cache) == 2
+        assert [cache.get(s) for s in specs] == results
+        assert runner.run(specs, parallel=True) == results
+        assert runner.hits == 2
+        assert (runner.cache.disk_reads, runner.cache.disk_writes) == (2, 0)
 
     def test_trace_dir_follows_the_cache_root(self, tmp_path):
         ctx = RunContext()
@@ -429,8 +487,8 @@ class TestResolver:
         assert all(sizes.values())
         assert resolve(spec, ctx=b)[1] == "simulate"
         assert {name: len(getattr(a, name)) for name in memos} == sizes
-        assert a.memo.get(spec.spec_hash()) is result
-        assert b.memo.get(spec.spec_hash()) is not result
+        assert a.memo.get(spec.spec_hash())[0] is result
+        assert b.memo.get(spec.spec_hash())[0] is not result
         assert _deploy_template(spec, a) is not _deploy_template(spec, b)
         assert workloads.traces(*RECIPE, a) \
             is not workloads.traces(*RECIPE, b)
