@@ -1,10 +1,11 @@
 """S3 — serve-daemon benchmark: query throughput, cold vs memoized.
 
 Starts a real daemon on a loopback socket, prices a 50-query batch
-cold (every answer simulated, through a fresh ``RunContext`` and with
-the platform cache cleared, so caches warmed by benches that ran
-earlier in the same process cannot shorten it), then replays the same
-batch memoized (every answer from the LRU memo) several times.
+cold (every answer simulated), then replays the same batch memoized
+(every answer from the LRU memo) several times.  The whole measurement
+runs in a fresh interpreter (``python benchmarks/bench_serve.py DIR``),
+so no cache, import or code path warmed by benches that ran earlier in
+the same pytest process can shorten the cold pass.
 Enforced, machine-independent:
 
 - every memoized replay must be **byte-identical** to the cold pass
@@ -19,11 +20,13 @@ claims come from ``perfbench/``'s ``serve-restart`` workload.
 """
 
 import json
+import os
+import pathlib
 import statistics
+import subprocess
+import sys
 import time
 
-from repro.scenarios.platforms import build_platform
-from repro.scenarios.runner import RunContext
 from repro.serve import QueryEngine, ServeClient, ServeDaemon
 
 QUERIES = 50
@@ -49,36 +52,56 @@ def _query_payloads():
     return payloads
 
 
-def test_serve_throughput(tmp_path):
-    # a cold pass whatever ran earlier in this process: a fresh context
-    # (scenario memo, templates, dPerf memos) and no built platforms
-    build_platform.cache_clear()
-    engine = QueryEngine(cache_dir=tmp_path / "cache", ctx=RunContext())
+def _measure(cache_dir: pathlib.Path) -> dict:
+    """The cold batch, then ``MEMO_REPLAYS`` memoized replays, against
+    a daemon in this process."""
+    engine = QueryEngine(cache_dir=cache_dir)
     payloads = _query_payloads()
     with ServeDaemon(engine, address="127.0.0.1:0") as daemon:
         with ServeClient(daemon.address, timeout=120.0) as client:
             t0 = time.perf_counter()
             cold = client.request({"op": "batch", "queries": payloads})
             cold_wall = time.perf_counter() - t0
-            assert cold["ok"], cold
             warm_walls = []
             warms = []
             for _ in range(MEMO_REPLAYS):
                 t0 = time.perf_counter()
-                warm = client.request({"op": "batch", "queries": payloads})
+                warms.append(
+                    client.request({"op": "batch", "queries": payloads}))
                 warm_walls.append(time.perf_counter() - t0)
-                assert warm["ok"], warm
-                warms.append(warm)
             stats = client.request({"op": "stats"})["stats"]
+    return {"cold": cold, "cold_wall": cold_wall, "warms": warms,
+            "warm_walls": warm_walls, "stats": stats,
+            "engine_runs": engine.stats.get("scenario_runs")}
+
+
+def test_serve_throughput(tmp_path):
+    # a cold pass whatever ran earlier in this process: the whole
+    # measurement runs in a fresh interpreter
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src if not path else os.pathsep.join([src, path]))
+    proc = subprocess.run(
+        [sys.executable, __file__, str(tmp_path / "cache")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.splitlines()[-1])
+    cold, warms, stats = got["cold"], got["warms"], got["stats"]
+    assert cold["ok"], cold
+    for warm in warms:
+        assert warm["ok"], warm
 
     cold_json = json.dumps(cold["answers"], sort_keys=True)
     for warm in warms:
         assert json.dumps(warm["answers"], sort_keys=True) == cold_json, \
             "memoized replay drifted from the cold answers"
     # every replayed query must be a memo hit: zero new simulations
-    assert stats["scenario_runs"] == engine.stats.get("scenario_runs")
+    assert stats["scenario_runs"] == got["engine_runs"]
     assert stats["memo_hits"] >= QUERIES * MEMO_REPLAYS
-    warm_wall = statistics.median(warm_walls)
+    cold_wall = got["cold_wall"]
+    warm_wall = statistics.median(got["warm_walls"])
 
     cold_qps = QUERIES / cold_wall
     warm_qps = QUERIES / warm_wall
@@ -92,3 +115,7 @@ def test_serve_throughput(tmp_path):
         f"(floor {MIN_MEMO_SPEEDUP}x) — the answer memo is not "
         f"carrying the hot path"
     )
+
+
+if __name__ == "__main__":
+    print(json.dumps(_measure(pathlib.Path(sys.argv[1]))))

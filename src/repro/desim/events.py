@@ -143,26 +143,30 @@ class AllOf(Signal):
     """Triggers when *every* child has triggered.
 
     ``value`` is the list of child values in order.  The first failure
-    fails the composite immediately.
+    fails the composite immediately.  Like :class:`AnyOf` it keeps no
+    reference to its children, only their values, so a child that never
+    triggers does not hold the two in a cycle.
     """
 
-    __slots__ = ("_children", "_remaining")
+    __slots__ = ("_values", "_remaining")
 
     def __init__(self, children: Iterable[Signal]) -> None:
+        children = list(children)
         Signal.__init__(self, "allof")
-        self._children = list(children)
-        self._remaining = len(self._children)
+        self._values: List[Any] = [None] * len(children)
+        self._remaining = len(children)
         if self._remaining == 0:
             self.succeed([])
-        for child in self._children:
-            child._subscribe(self._on_child)
+        for i, child in enumerate(children):
+            child._subscribe(lambda c, i=i: self._on_child(i, c))
 
-    def _on_child(self, child: Signal) -> None:
+    def _on_child(self, index: int, child: Signal) -> None:
         if self._state != Signal._PENDING:
             return
         if child._exc is not None:
             self.fail(child._exc)
             return
+        self._values[index] = child._value
         self._remaining -= 1
         if self._remaining == 0:
-            self.succeed([c._value for c in self._children])
+            self.succeed(self._values)

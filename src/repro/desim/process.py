@@ -39,6 +39,7 @@ class Process(Signal):
         self.sim = sim
         self._gen = gen
         self._waiting_on: Optional[Signal] = None
+        sim._processes[self] = None
         # First resume happens as a scheduled event at the current time
         # so process creation order, not call-stack depth, decides order.
         sim.call_later(0.0, self._resume, None, None)
@@ -58,18 +59,31 @@ class Process(Signal):
             else:
                 target = self._gen.send(value)
         except StopIteration as stop:
+            del self.sim._processes[self]
             self.succeed(stop.value)
             return
         except Exception as err:  # Interrupt included
-            self.fail(err)
+            del self.sim._processes[self]
+            # keep the generator's frames but not this one: it holds
+            # the process and, through f_back, the whole caller stack,
+            # so a stored failure would make every world cyclic
+            self.fail(err.with_traceback(err.__traceback__.tb_next))
             return
         if not isinstance(target, Signal):
+            del self.sim._processes[self]
             self.fail(
                 TypeError(f"process {self.name!r} yielded non-waitable {target!r}")
             )
             return
         self._waiting_on = target
         target._subscribe(self._wake)
+
+    def _detach(self) -> None:
+        """Stop waiting: unsubscribe from the waited signal, so it no
+        longer holds this process alive (or wakes it)."""
+        waited, self._waiting_on = self._waiting_on, None
+        if waited is not None and waited._callbacks:
+            waited._callbacks.remove(self._wake)
 
     def _wake(self, waitable: Signal) -> None:
         if self._waiting_on is not waitable:
@@ -89,7 +103,7 @@ class Process(Signal):
         """
         if self._state != Signal._PENDING:
             return
-        self._waiting_on = None  # detach: any pending wake-up becomes stale
+        self._detach()
         self.sim.call_later(0.0, self._resume, None, Interrupt(cause))
 
     def check(self) -> None:

@@ -82,6 +82,9 @@ class Simulator:
         self._dead: int = 0  # cancelled/superseded entries still heaped
         self._running = False
         self.event_count: int = 0  # executed callbacks, for microbenches
+        #: unfinished processes, in creation order, so :meth:`close`
+        #: can detach the ones still suspended when a run ends
+        self._processes: dict = {}
 
     # -- scheduling -------------------------------------------------------
     def schedule(self, delay: float, fn: Callable, *args: Any) -> ScheduledCall:
@@ -174,6 +177,31 @@ class Simulator:
         from .process import Process  # local import to avoid cycle
 
         return Process(self, gen, name=name)
+
+    # -- teardown ------------------------------------------------------------
+    def close(self) -> None:
+        """Tear the world down once its run has been read.
+
+        Empties the agenda and detaches every still-suspended process
+        from the signal it waits on, closing its generator.  Those are
+        the links that make a finished world cyclic garbage (agenda ->
+        handle -> simulator, waited signal -> process -> waited
+        signal), so afterwards reference counting frees the world as
+        soon as its owner drops it.  ``now`` and ``event_count`` stay
+        readable; scheduling anything after a close is a programming
+        error.
+        """
+        for _time, _seq, call in self._agenda:
+            if call.__class__ is not tuple:
+                call.pending = False
+                call._sim = call.fn = None
+                call.args = ()
+        self._agenda.clear()
+        self._dead = 0
+        processes, self._processes = self._processes, {}
+        for proc in processes:  # each stays untriggered
+            proc._detach()
+            proc._gen.close()
 
     # -- main loop ---------------------------------------------------------
     def run(self, until: Optional[float] = None) -> float:

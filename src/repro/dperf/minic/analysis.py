@@ -184,6 +184,37 @@ def call_graph(program: A.Program) -> Dict[str, Set[str]]:
 
 # -- trip-count estimation --------------------------------------------------
 
+def _static_value(e: Optional[A.Expr],
+                  env: Mapping[str, float]) -> Optional[float]:
+    """The value of a constant expression over ``env``'s bindings, or
+    None.  Module level, not a closure inside
+    :func:`estimate_trip_count`: a recursive nested function refers to
+    itself through its own cell, so every call would leave a cycle."""
+    if e is None:
+        return None
+    if isinstance(e, A.IntLit):
+        return float(e.value)
+    if isinstance(e, A.FloatLit):
+        return e.value
+    if isinstance(e, A.Ident):
+        return env.get(e.name)
+    if isinstance(e, A.UnOp) and e.op == "-":
+        v = _static_value(e.operand, env)
+        return -v if v is not None else None
+    if isinstance(e, A.BinOp):
+        l, r = _static_value(e.left, env), _static_value(e.right, env)
+        if l is None or r is None:
+            return None
+        try:
+            return {
+                "+": l + r, "-": l - r, "*": l * r,
+                "/": l / r if r else None, "%": l % r if r else None,
+            }.get(e.op)
+        except ZeroDivisionError:
+            return None
+    return None
+
+
 def estimate_trip_count(
     loop: A.For, env: Mapping[str, float] | None = None
 ) -> Optional[int]:
@@ -196,41 +227,16 @@ def estimate_trip_count(
     """
     env = env or {}
 
-    def value(e: Optional[A.Expr]) -> Optional[float]:
-        if e is None:
-            return None
-        if isinstance(e, A.IntLit):
-            return float(e.value)
-        if isinstance(e, A.FloatLit):
-            return e.value
-        if isinstance(e, A.Ident):
-            return env.get(e.name)
-        if isinstance(e, A.UnOp) and e.op == "-":
-            v = value(e.operand)
-            return -v if v is not None else None
-        if isinstance(e, A.BinOp):
-            l, r = value(e.left), value(e.right)
-            if l is None or r is None:
-                return None
-            try:
-                return {
-                    "+": l + r, "-": l - r, "*": l * r,
-                    "/": l / r if r else None, "%": l % r if r else None,
-                }.get(e.op)
-            except ZeroDivisionError:
-                return None
-        return None
-
     # induction variable + start
     var = None
     start = None
     if isinstance(loop.init, A.DeclStmt) and len(loop.init.decls) == 1:
         d = loop.init.decls[0]
-        var, start = d.name, value(d.init)
+        var, start = d.name, _static_value(d.init, env)
     elif isinstance(loop.init, A.ExprStmt) and isinstance(loop.init.expr, A.Assign):
         a = loop.init.expr
         if a.op == "=" and isinstance(a.target, A.Ident):
-            var, start = a.target.name, value(a.value)
+            var, start = a.target.name, _static_value(a.value, env)
     if var is None or start is None:
         return None
 
@@ -239,10 +245,10 @@ def estimate_trip_count(
     if not (isinstance(cond, A.BinOp) and cond.op in ("<", "<=", ">", ">=")):
         return None
     if isinstance(cond.left, A.Ident) and cond.left.name == var:
-        bound = value(cond.right)
+        bound = _static_value(cond.right, env)
         op = cond.op
     elif isinstance(cond.right, A.Ident) and cond.right.name == var:
-        bound = value(cond.left)
+        bound = _static_value(cond.left, env)
         op = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}[cond.op]
     else:
         return None
@@ -258,16 +264,16 @@ def estimate_trip_count(
     elif isinstance(s, A.Assign) and isinstance(s.target, A.Ident) \
             and s.target.name == var:
         if s.op == "+=":
-            step = value(s.value)
+            step = _static_value(s.value, env)
         elif s.op == "-=":
-            v = value(s.value)
+            v = _static_value(s.value, env)
             step = -v if v is not None else None
         elif s.op == "=" and isinstance(s.value, A.BinOp):
             b = s.value
             if b.op == "+" and isinstance(b.left, A.Ident) and b.left.name == var:
-                step = value(b.right)
+                step = _static_value(b.right, env)
             elif b.op == "-" and isinstance(b.left, A.Ident) and b.left.name == var:
-                v = value(b.right)
+                v = _static_value(b.right, env)
                 step = -v if v is not None else None
     if step is None or step == 0:
         return None

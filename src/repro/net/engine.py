@@ -255,6 +255,14 @@ class FluidNetwork:
     def active_flow_count(self) -> int:
         return len(self._active)
 
+    def close(self) -> None:
+        """Drop the in-flight flows: each holds a completion callback
+        that leads back to this engine.  The ``_routes`` dict may be a
+        deployment template's shared intern store, so it is left as it
+        is; the cumulative statistics stay readable."""
+        self._active = {}
+        self._link_flows = {}
+
     # -- engine internals ------------------------------------------------------
     def _activate(self, flow: _Flow) -> None:
         if not flow.route or flow.remaining <= 0.0:

@@ -99,6 +99,13 @@ class NodeActor:
     def on_revive(self) -> None:
         """Hook for subclasses."""
 
+    def close(self) -> None:
+        """Drop the per-node state that points back at this node: the
+        bound-handler cache and the timer handles, whose callbacks are
+        bound methods (part of :meth:`Overlay.close`)."""
+        self._handlers = {}
+        self._timer_calls = {}
+
     # -- main loop ------------------------------------------------------------
     def _main_loop(self):
         try:

@@ -279,6 +279,30 @@ class Overlay:
         for tracker in core:
             tracker.start()
 
+    def close(self) -> None:
+        """Tear the world down once its run has been read (DESIGN.md,
+        "World lifecycle").
+
+        Closes every data channel and actor, drops the actor and peer
+        maps, the network's in-flight flows and the simulator's agenda
+        and suspended processes, so reference counting frees the world
+        without the cyclic collector.  The platform, its topology and
+        the shared route-intern dict are deployment-template state and
+        are left untouched; ``stats``, ``armed_churn`` and ``faults``
+        stay readable.
+        """
+        for channel in self._data_channels.values():
+            channel.close()
+        self._data_channels = {}
+        for actor in self.registry.values():
+            actor.close()
+        self.registry = {}
+        self.server = None
+        self.trackers = []
+        self.peers = []
+        self.net.close()
+        self.sim.close()
+
     def run(self, until: Optional[float] = None) -> float:
         return self.sim.run(until=until)
 

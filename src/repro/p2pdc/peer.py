@@ -803,6 +803,16 @@ class Peer(NodeActor):
                 proc.interrupt("peer crash")
         super().crash()
 
+    def close(self) -> None:
+        """Also drop the task state that points back at this peer: its
+        executions, its compute processes (a failed one keeps its
+        generator's frames in the stored traceback) and its pending
+        reservations."""
+        super().close()
+        self._executions = {}
+        self._compute_procs = []
+        self._reserve_sigs = {}
+
     def on_revive(self) -> None:
         """Churn rejoin: come back with fresh protocol state and
         re-register through the locally stored tracker list.

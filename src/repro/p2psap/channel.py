@@ -52,7 +52,10 @@ class ChannelEndpoint:
     def send(self, payload_bytes: float, data: object = None) -> Signal:
         """Transmit; returned signal fires when the sender may proceed
         (transfer done, plus ack leg in acked modes)."""
-        return self.channel._transmit(self, payload_bytes, data)
+        channel = self.channel
+        if channel is None:
+            raise RuntimeError(f"{self.inbox.name}: channel is closed")
+        return channel._transmit(self, payload_bytes, data)
 
     def recv(self) -> Signal:
         """Signal yielding ``(payload_bytes, data)`` — freshest first in
@@ -92,7 +95,6 @@ class Channel:
         self.stats = ChannelStats()
         self.a = ChannelEndpoint(self, host_a, host_b)
         self.b = ChannelEndpoint(self, host_b, host_a)
-        self.closed = False
         # per-send f-strings are hot-path cost: the cid is fixed, so
         # the signal name and wire tags are built once per channel
         self._send_name = f"chan{self.cid}:send"
@@ -132,8 +134,6 @@ class Channel:
     def _transmit(
         self, src: ChannelEndpoint, payload_bytes: float, data: object
     ) -> Signal:
-        if self.closed:
-            raise RuntimeError(f"channel {self.cid} is closed")
         mode = self.mode
         dst = self.b if src is self.a else self.a
         self.stats.messages_sent += 1
@@ -221,4 +221,7 @@ class Channel:
                           callback=lambda: done.succeed(payload_bytes))
 
     def close(self) -> None:
-        self.closed = True
+        """End the session: both endpoints drop their link back to the
+        channel, so a later send raises and channel and endpoints no
+        longer hold each other alive."""
+        self.a.channel = self.b.channel = None

@@ -494,44 +494,51 @@ def _run_reference(spec: ScenarioSpec, ctx: RunContext,
         # engine-level failure (deadlock, event-limit blowup): a hard
         # error even under churn — never a completion-probability datum
         return failed(str(exc), ok=False)
-    outcome = sig.value
-    timings = outcome.timings
-    if not outcome.ok:
-        # Under failure injection (churn or network faults) a
-        # protocol-level non-completion is the measured outcome
-        # (completion probability), not an error.
-        return failed(outcome.reason, ok=spec.has_churn or spec.has_faults,
-                      sim_events=float(dep.sim.event_count))
-    metrics = {
-        "completed": 1.0,
-        **_recovery_metrics(dep),
-        "makespan": timings.total_time,
-        "collection_time": timings.collection_time,
-        "allocation_time": timings.allocation_time,
-        "n_groups": float(len(outcome.groups)) if outcome.groups else 1.0,
-        "sim_events": float(dep.sim.event_count),
-    }
-    return ScenarioResult(
-        name=spec.name, spec_hash=spec.spec_hash(), kind=spec.kind,
-        t=timings.completed_at - timings.compute_started_at,
-        metrics=metrics,
-    )
+    else:
+        outcome = sig.value
+        timings = outcome.timings
+        if not outcome.ok:
+            # Under failure injection (churn or network faults) a
+            # protocol-level non-completion is the measured outcome
+            # (completion probability), not an error.
+            return failed(outcome.reason, ok=spec.has_churn or spec.has_faults,
+                          sim_events=float(dep.sim.event_count))
+        metrics = {
+            "completed": 1.0,
+            **_recovery_metrics(dep),
+            "makespan": timings.total_time,
+            "collection_time": timings.collection_time,
+            "allocation_time": timings.allocation_time,
+            "n_groups": float(len(outcome.groups)) if outcome.groups else 1.0,
+            "sim_events": float(dep.sim.event_count),
+        }
+        return ScenarioResult(
+            name=spec.name, spec_hash=spec.spec_hash(), kind=spec.kind,
+            t=timings.completed_at - timings.compute_started_at,
+            metrics=metrics,
+        )
+    finally:
+        # every metric is read by now: free the world by refcount
+        dep.overlay.close()
 
 
 def _run_deploy(spec: ScenarioSpec, ctx: RunContext) -> ScenarioResult:
     dep = _deploy(spec, ctx)
     overlay = dep.overlay
-    return ScenarioResult(
-        name=spec.name, spec_hash=spec.spec_hash(), kind=spec.kind,
-        t=overlay.now,
-        metrics={
-            "n_peers": float(len(dep.peers)),
-            "n_trackers": float(len(dep.trackers)),
-            "control_messages": float(overlay.stats.control_messages),
-            "control_bytes": overlay.stats.control_bytes,
-            "sim_events": float(overlay.sim.event_count),
-        },
-    )
+    try:
+        return ScenarioResult(
+            name=spec.name, spec_hash=spec.spec_hash(), kind=spec.kind,
+            t=overlay.now,
+            metrics={
+                "n_peers": float(len(dep.peers)),
+                "n_trackers": float(len(dep.trackers)),
+                "control_messages": float(overlay.stats.control_messages),
+                "control_bytes": overlay.stats.control_bytes,
+                "sim_events": float(overlay.sim.event_count),
+            },
+        )
+    finally:
+        overlay.close()
 
 
 # ---------------------------------------------------------------------------
@@ -693,14 +700,15 @@ class ResultCache(JsonCache):
     def get(self, spec: ScenarioSpec) -> Optional[ScenarioResult]:
         """The cached result for ``spec``, or None."""
         payload = self.load(spec.spec_hash())
-        if payload is None or payload.get("spec") != spec.hash_payload():
+        if payload is None or payload.get("spec") != spec._shared_payload():
             return None
         return ScenarioResult.from_dict(payload["result"])
 
     def put(self, spec: ScenarioSpec, result: ScenarioResult) -> None:
         """Store ``result`` under ``spec``'s hash (atomic write)."""
         self.store(spec.spec_hash(),
-                   {"spec": spec.hash_payload(), "result": result.to_dict()})
+                   {"spec": spec._shared_payload(),
+                    "result": result.to_dict()})
 
 
 def trace_dir(cache: Optional[ResultCache]) -> Optional[Path]:

@@ -626,12 +626,24 @@ class ScenarioSpec:
 
     # -- hashing -----------------------------------------------------------
     def hash_payload(self) -> Dict[str, Any]:
-        """Everything that defines the result (name excluded)."""
+        """Everything that defines the result (name excluded); a fresh
+        dict on every call."""
         d = self.to_dict()
         del d["name"]
         d["schema"] = SCHEMA_VERSION
         d["engine"] = _ENGINE_VERSION
         return d
+
+    def _shared_payload(self) -> Dict[str, Any]:
+        """:meth:`hash_payload`, built once per instance and shared by
+        :meth:`spec_hash` and the result cache's entry check and write.
+        Those only read it; every other caller takes a fresh copy from
+        :meth:`hash_payload`."""
+        cached = self.__dict__.get("_payload")
+        if cached is None:
+            cached = self.hash_payload()
+            object.__setattr__(self, "_payload", cached)
+        return cached
 
     def spec_hash(self) -> str:
         """Stable 16-hex-digit content hash of this spec.
@@ -643,7 +655,7 @@ class ScenarioSpec:
         """
         cached = self.__dict__.get("_spec_hash")
         if cached is None:
-            blob = json.dumps(self.hash_payload(), sort_keys=True,
+            blob = json.dumps(self._shared_payload(), sort_keys=True,
                               separators=(",", ":"))
             cached = hashlib.sha256(blob.encode()).hexdigest()[:16]
             object.__setattr__(self, "_spec_hash", cached)

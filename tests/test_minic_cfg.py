@@ -231,6 +231,21 @@ class TestTripCount:
         loop = self.loop("for (int i = 0; i < 9; i = i + 3) ;")
         assert estimate_trip_count(loop) == 3
 
+    def test_leaves_no_cyclic_garbage(self):
+        """The constant folder is a module-level function: a recursive
+        closure would leave a function <-> cell cycle per call."""
+        import gc
+
+        loop = self.loop("for (int i = 1; i < n - 1; i = i + 2) ;")
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(10):
+                assert estimate_trip_count(loop, {"n": 10}) == 4
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
 
 class TestOpCensus:
     def test_counts(self):

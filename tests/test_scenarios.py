@@ -292,6 +292,42 @@ class TestRunnerAndCache:
         )[0]
         assert from_disk.canonical_json() == fresh
 
+    def test_hash_payload_built_once_per_spec(self, tmp_path, monkeypatch):
+        """spec_hash, a cache put and a cache get share one payload
+        walk, and callers still get a fresh dict they may mutate."""
+        walks = []
+        to_dict = ScenarioSpec.to_dict
+
+        def counting(self):
+            walks.append(self)
+            return to_dict(self)
+
+        monkeypatch.setattr(ScenarioSpec, "to_dict", counting)
+        spec = tiny_spec(seed=77)
+        result = ScenarioResult(name=spec.name, spec_hash=spec.spec_hash(),
+                                kind=spec.kind, t=1.0)
+        cache = ResultCache(tmp_path)
+        assert cache.get(spec) is None
+        cache.put(spec, result)
+        assert cache.get(spec) == result
+        assert len(walks) == 1
+        payload = spec.hash_payload()
+        payload["seed"] = 0
+        assert spec.hash_payload()["seed"] == 77
+        assert cache.get(spec) == result
+
+    def test_cache_payload_check_is_strict(self, tmp_path):
+        """An entry whose stored spec differs from the asking spec's
+        payload, under the same hash, is a miss."""
+        spec = tiny_spec()
+        cache = ResultCache(tmp_path)
+        cache.put(spec, run_scenario(spec))
+        path = tmp_path / f"{spec.spec_hash()}.json"
+        entry = json.loads(path.read_text())
+        entry["spec"]["n_peers"] = 4
+        path.write_text(json.dumps(entry))
+        assert cache.get(spec) is None
+
     def test_corrupt_cache_entry_is_a_miss(self, tmp_path):
         spec = tiny_spec()
         cache = ResultCache(tmp_path)
