@@ -69,8 +69,9 @@ def test_fleet_steal_speedup(tmp_path):
     one, one_wall = _run_fleet(tmp_path / "one", workers=1)
     two, two_wall = _run_fleet(tmp_path / "two", workers=2)
 
-    stealers = {w: n for w, n in two.worker_points.items() if n > 0}
-    assert len(stealers) == 2, two.worker_points  # both pulled weight
+    stealers = {w["worker"]: w["points_done"] for w in two.worker_stats
+                if w["points_done"] > 0}
+    assert len(stealers) == 2, two.worker_stats  # both pulled weight
 
     speedup = one_wall / two_wall
     cores = len(os.sched_getaffinity(0))

@@ -1,12 +1,15 @@
 """Work-stealing sweep fleet.
 
 - :mod:`repro.fleet.protocol` — the shared-directory wire: atomic
-  rename claims, heartbeats, retry/backoff, poison quarantine.
-- :mod:`repro.fleet.worker` — one steal-compute-persist loop.
+  rename claims and finishes, heartbeats, retry/backoff, poison
+  quarantine.  The fleet directory holds coordination only.
+- :mod:`repro.fleet.worker` — one steal-compute-persist loop,
+  configured by the fleet directory alone.
 - :mod:`repro.fleet.dispatcher` — spawns/supervises workers, requeues
   dead workers' points and writes the byte-identical sweep manifest
-  (the label's one view of its points).  Every result lives in the
-  shared per-hash result cache, which sweeps and serve read too.
+  (the label's one view of its points) from the result cache.  Every
+  result lives in that shared per-hash cache, which sweeps and serve
+  read too.
 - :mod:`repro.fleet.store` — ``ResultStore``, old names over that
   cache, kept only for the ``perfbench`` benchmark.
 - :mod:`repro.fleet.telemetry` — per-worker throughput rows and

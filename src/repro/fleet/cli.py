@@ -8,16 +8,19 @@
     python -m repro.fleet worker --fleet-dir .scenario-cache/fleet/churn-b
     python -m repro.fleet stats churn-b
 
-``run`` is the dispatcher: it expands the grid exactly like
-``repro.scenarios sweep`` (same ``--set`` grammar, shared parser),
-resolves cache hits in-process, and hands the remaining points to a
-work-stealing worker fleet — local processes it spawns, plus any
-remote ``worker`` attached to the same fleet directory over a shared
-mount.  The resulting manifest is byte-identical to an unsharded
-serial sweep of the same grid, so ``repro.scenarios compare`` diffs
-fleet and serial sweeps alike (``--format html`` adds the fleet's
-per-worker rows).  ``stats`` prints a live per-worker throughput view
-of a fleet directory with stragglers flagged.
+``run`` is the dispatcher: it expands the grid with
+``repro.scenarios sweep``'s own grid step (same ``--set`` grammar and
+usage errors), resolves cache hits in-process, and hands the
+remaining points to a work-stealing worker fleet — local processes it
+spawns, plus any remote ``worker`` attached to the same fleet
+directory over a shared mount.  A ``worker`` takes only the fleet
+directory (and an optional id): the cache root, intervals and retry
+budget all come from it.  The resulting manifest is byte-identical
+to an unsharded serial sweep of the same grid, so
+``repro.scenarios compare`` diffs fleet and serial sweeps alike
+(``--format html`` adds the fleet's per-worker rows).  ``stats``
+prints a live per-worker throughput view of a fleet directory with
+stragglers flagged.
 """
 
 from __future__ import annotations
@@ -27,35 +30,31 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from ..params import parse_grid_sets
-from ..scenarios.cli import DEFAULT_CACHE_DIR, _UsageError
+from ..scenarios.cli import (
+    DEFAULT_CACHE_DIR,
+    _UsageError,
+    _check_label,
+    _grid_specs,
+    _resolve,
+)
 from ..scenarios.registry import get_scenario
-from ..scenarios.runner import expand_grid
 from .dispatcher import FleetDispatcher, FleetError, FleetOutcome
 from .protocol import (
     DEFAULT_BACKOFF_BASE,
     DEFAULT_LIVENESS_TIMEOUT,
     DEFAULT_MAX_RETRIES,
-    HEARTBEAT_INTERVAL,
+    FleetDirs,
 )
 from .telemetry import fleet_stats, format_stats
 from .worker import FleetWorker
-
-
-def _resolve(fn, *args):
-    try:
-        return fn(*args)
-    except KeyError as exc:
-        raise _UsageError(exc.args[0]) from None
 
 
 def _print_outcome(outcome: FleetOutcome) -> None:
     print(f"# fleet {outcome.label!r}: {len(outcome.points)} points "
           f"({outcome.cached} from cache, {outcome.computed} computed) "
           f"in {outcome.wall:.1f}s")
-    for worker, n in outcome.worker_points.items():
-        if worker != "cache":
-            print(f"#   {worker}: {n} points")
+    for stat in outcome.worker_stats:
+        print(f"#   {stat['worker']}: {stat['points_done']} points")
     if outcome.reassignments:
         moved = ", ".join(f"p{i} ×{n}" for i, n in
                           sorted(outcome.reassignments.items()))
@@ -76,16 +75,9 @@ def _print_outcome(outcome: FleetOutcome) -> None:
 
 def cmd_run(args: argparse.Namespace) -> int:
     entry = _resolve(get_scenario, args.name)
-    try:
-        grid = parse_grid_sets(args.set or [])
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-    specs = (_resolve(expand_grid, entry.base, grid) if grid
-             else entry.points())
+    specs = _grid_specs(entry, args.set)
     label = args.label or entry.name
-    if not label or label != Path(label).name or label in (".", ".."):
-        raise _UsageError(f"--label must be a plain file name, "
-                          f"got {label!r}")
+    _check_label(label)
     try:
         dispatcher = FleetDispatcher(
             specs, label=label, scenario=entry.name,
@@ -104,12 +96,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_worker(args: argparse.Namespace) -> int:
     try:
-        worker = FleetWorker(
-            args.fleet_dir, cache_dir=args.cache_dir,
-            worker_id=args.worker_id,
-            heartbeat_interval=args.heartbeat_interval,
-            poll_interval=args.poll_interval,
-        )
+        worker = FleetWorker(args.fleet_dir, worker_id=args.worker_id)
     except (OSError, ValueError, KeyError) as exc:
         raise _UsageError(f"cannot attach to fleet "
                           f"{args.fleet_dir!r}: {exc}") from None
@@ -119,8 +106,6 @@ def cmd_worker(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    from .protocol import FleetDirs
-
     fleet_dir = Path(args.cache_dir) / "fleet" / args.label
     if not fleet_dir.is_dir():
         raise _UsageError(f"no fleet directory for label {args.label!r} "
@@ -174,15 +159,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     worker.add_argument("--fleet-dir", required=True,
                         help="the fleet coordination directory "
-                             "(<cache>/fleet/<label>)")
-    worker.add_argument("--cache-dir", default=None,
-                        help="shared cache root (default: the fleet "
-                             "dir's grandparent)")
+                             "(<cache>/fleet/<label>); the cache root "
+                             "is its grandparent, the intervals and "
+                             "retry budget come from its grid.json")
     worker.add_argument("--worker-id", default=None,
                         help="stable worker id (default: <host>-<pid>)")
-    worker.add_argument("--heartbeat-interval", type=float,
-                        default=HEARTBEAT_INTERVAL)
-    worker.add_argument("--poll-interval", type=float, default=0.1)
 
     stats = sub.add_parser(
         "stats", help="per-worker throughput for a fleet directory, "

@@ -18,14 +18,17 @@ to the manifest an unsharded serial sweep of the same grid produces
 (pinned by ``tests/test_fleet.py``).  Results themselves live in the
 shared :class:`~repro.scenarios.runner.ResultCache`, one file per spec
 hash: workers write the points they compute, and seeding writes the
-points it resolves from the in-process memo.  The manifest is the
-label's one view of its points.  If any point was quarantined the
-manifest is marked ``"partial": true`` — the same refuse-to-compare
-semantics a killed sweep has.
+points it resolves from the in-process memo.  The fleet directory
+holds coordination only; the manifest is built from the cache with
+the serial sweep's entry builder, and a done point the cache cannot
+answer is a :class:`FleetError`, never a silent recompute.  If any
+point was quarantined the manifest is marked ``"partial": true`` —
+the same refuse-to-compare semantics a killed sweep has.
 
-Re-running a fleet over the same grid *resumes*: done records and
-cached results survive in the fleet directory and result cache, so
-only unresolved points are re-enqueued.
+Re-running a fleet over the same grid *resumes* from the cache: the
+fleet directory starts empty, and seeding resolves every point a
+previous run finished as cached, so only unfinished points are
+enqueued.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from .protocol import (
     DEFAULT_LIVENESS_TIMEOUT,
     DEFAULT_MAX_RETRIES,
     HEARTBEAT_INTERVAL,
+    POLL_INTERVAL,
     FleetDirs,
     requeue_task,
 )
@@ -55,7 +59,8 @@ from .telemetry import worker_stats as snapshot_worker_stats
 
 
 class FleetError(RuntimeError):
-    """A fleet-level failure (bad config, wall-clock blowout)."""
+    """A fleet-level failure (bad config, wall-clock blowout, a done
+    point missing from the result cache)."""
 
 
 @dataclass
@@ -71,11 +76,10 @@ class FleetOutcome:
     poisoned: Dict[int, Dict[str, Any]] = field(default_factory=dict)
     #: Grid index → times the dispatcher requeued it (dead workers).
     reassignments: Dict[int, int] = field(default_factory=dict)
-    #: Worker id → points it completed (stragglers are visible).
-    worker_points: Dict[str, int] = field(default_factory=dict)
     #: Final per-worker throughput rows (see
-    #: :mod:`repro.fleet.telemetry`): points/min, claim-to-done
-    #: latency, straggler flags — the end-of-run straggler report.
+    #: :mod:`repro.fleet.telemetry`): points done, points/min,
+    #: claim-to-done latency, straggler flags — the end-of-run
+    #: straggler report.
     worker_stats: List[Dict[str, Any]] = field(default_factory=list)
     cached: int = 0
     computed: int = 0
@@ -108,6 +112,9 @@ class FleetDispatcher:
     liveness_timeout:
         Heartbeat silence (seconds) after which a worker is presumed
         dead and its claims are requeued.
+    heartbeat_interval / poll_interval:
+        Written to ``grid.json``, so every worker — spawned or
+        attached by hand — beats and polls at these rates.
     max_retries / backoff_base:
         Per-point retry budget and exponential backoff base.
     wall_timeout:
@@ -127,7 +134,7 @@ class FleetDispatcher:
         max_retries: int = DEFAULT_MAX_RETRIES,
         backoff_base: float = DEFAULT_BACKOFF_BASE,
         heartbeat_interval: float = HEARTBEAT_INTERVAL,
-        poll_interval: float = 0.1,
+        poll_interval: float = POLL_INTERVAL,
         wall_timeout: Optional[float] = None,
         spawn_env: Optional[Dict[str, str]] = None,
     ) -> None:
@@ -135,8 +142,9 @@ class FleetDispatcher:
             raise FleetError("fleet needs at least one grid point")
         if workers < 0:
             raise FleetError(f"workers must be >= 0, got {workers!r}")
-        if liveness_timeout <= 0:
-            raise FleetError("liveness_timeout must be > 0")
+        if not 0 < heartbeat_interval < liveness_timeout:
+            raise FleetError("need 0 < heartbeat_interval < "
+                             "liveness_timeout")
         if max_retries < 1:
             raise FleetError("max_retries must be >= 1")
         self.specs = list(specs)
@@ -160,78 +168,48 @@ class FleetDispatcher:
         self.max_respawns = workers + max_retries + 1
 
     # -- setup --------------------------------------------------------------
-    def _grid_points(self) -> List[Dict[str, Any]]:
-        return [
-            {"index": i, "name": s.name, "spec_hash": s.spec_hash()}
-            for i, s in enumerate(self.specs)
-        ]
-
     def _prepare_dirs(self) -> None:
-        """Create (or resume) the fleet directory.
+        """Start from an empty fleet directory.
 
-        A directory whose recorded grid matches ours is a resume: its
-        ``done/`` records survive.  Anything else — a different grid
-        under the same label, stale queue/claims/poison from a crashed
-        run — is wiped back to a clean slate; re-running a fleet is an
-        explicit request to retry even its quarantined points.
+        Nothing in it outlives a run: finished points resume from the
+        result cache, and re-running a fleet is an explicit request to
+        retry even its quarantined points.
         """
-        grid = {
+        shutil.rmtree(self.dirs.root, ignore_errors=True)
+        self.dirs.create()
+        self.dirs.write_grid({
             "label": self.label, "scenario": self.scenario,
             "n_points": len(self.specs),
             "max_retries": self.max_retries,
             "backoff_base": self.backoff_base,
-            "points": self._grid_points(),
-        }
-        if self.dirs.grid_path.exists():
-            try:
-                previous = self.dirs.read_grid()
-            except (OSError, ValueError):
-                previous = None
-            if previous is not None and previous.get("points") == \
-                    grid["points"]:
-                # resume: keep done records, clear transient state
-                for d in (self.dirs.queue, self.dirs.active,
-                          self.dirs.workers, self.dirs.poison):
-                    shutil.rmtree(d, ignore_errors=True)
-                try:
-                    os.unlink(self.dirs.stop_path)
-                except FileNotFoundError:
-                    pass
-            else:
-                shutil.rmtree(self.dirs.root, ignore_errors=True)
-        else:
-            shutil.rmtree(self.dirs.root, ignore_errors=True)
-        self.dirs.create()
-        self.dirs.write_grid(grid)
+            "heartbeat_interval": self.heartbeat_interval,
+            "poll_interval": self.poll_interval,
+            "points": [
+                {"index": i, "name": s.name, "spec_hash": s.spec_hash()}
+                for i, s in enumerate(self.specs)
+            ],
+        })
 
     def _seed_from_cache(self, cache: ResultCache) -> int:
         """Resolve memo/disk hits in-parent; enqueue the rest.
 
         A point already answered by the shared cache (an earlier
-        sweep, another fleet) never reaches a worker — the same
-        cache-first contract ``SweepRunner.run`` has; a memo hit is
-        written to the cache (see :func:`~repro.scenarios.runner.lookup`).
+        sweep, another fleet, a previous run of this one) never
+        reaches a worker — the same cache-first contract
+        ``SweepRunner.run`` has; its task file goes straight to
+        ``done/``, and a memo hit is written to the cache (see
+        :func:`~repro.scenarios.runner.lookup`).
         """
-        done = self.dirs.done_indices()
         hits = 0
         for i, spec in enumerate(self.specs):
-            if i in done:
-                hits += 1  # resumed from a previous run of this fleet
-                continue
-            result, _tier = lookup(spec, cache)
-            if result is not None:
-                self.dirs.mark_done({
-                    "index": i, "name": spec.name,
-                    "spec_hash": result.spec_hash, "worker": "cache",
-                    "result": result.to_dict(),
-                })
+            task = {"index": i, "name": spec.name,
+                    "spec_hash": spec.spec_hash(),
+                    "spec": spec.to_dict(), "attempt": 1}
+            if lookup(spec, cache)[0] is not None:
+                self.dirs.write_task(self.dirs.done, task)
                 hits += 1
-                continue
-            self.dirs.enqueue({
-                "index": i, "name": spec.name,
-                "spec_hash": spec.spec_hash(),
-                "spec": spec.to_dict(), "attempt": 1,
-            })
+            else:
+                self.dirs.enqueue(task)
         return hits
 
     # -- worker processes ---------------------------------------------------
@@ -242,11 +220,7 @@ class FleetDispatcher:
         env = dict(os.environ if self.spawn_env is None else self.spawn_env)
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro.fleet", "worker",
-             "--fleet-dir", str(self.dirs.root),
-             "--cache-dir", str(self.cache_dir),
-             "--worker-id", wid,
-             "--heartbeat-interval", str(self.heartbeat_interval),
-             "--poll-interval", str(self.poll_interval)],
+             "--fleet-dir", str(self.dirs.root), "--worker-id", wid],
             stdout=log, stderr=subprocess.STDOUT, env=env,
         )
         log.close()  # the child holds its own copy of the fd
@@ -269,7 +243,6 @@ class FleetDispatcher:
         """Requeue (or poison) every claim owned by a dead worker."""
         now = time.time()
         dead_cache: Dict[str, bool] = {}
-        done_indices: Optional[set] = None
         for claim in self.dirs.active_claims():
             wid = claim["worker"]
             if wid not in dead_cache:
@@ -277,18 +250,6 @@ class FleetDispatcher:
             if not dead_cache[wid]:
                 continue
             index = claim["index"]
-            if done_indices is None:
-                # listed once per reap, filename-only — not one full
-                # record parse per dead claim
-                done_indices = self.dirs.done_indices()
-            if index in done_indices:
-                # finished but died before releasing the claim: the
-                # done record is authoritative, just drop the claim
-                try:
-                    os.unlink(claim["_path"])
-                except FileNotFoundError:
-                    pass
-                continue
             requeue_task(
                 self.dirs, claim, max_retries=self.max_retries,
                 backoff_base=self.backoff_base,
@@ -313,7 +274,7 @@ class FleetDispatcher:
         cache = ResultCache(self.cache_dir)
         cached = self._seed_from_cache(cache)
         reassignments: Dict[int, int] = {}
-        unresolved = len(self.specs) - len(self.dirs.done_indices())
+        unresolved = len(self.specs) - cached
         if unresolved > 0:
             # the dPerf calibration, paid once into the trace cache;
             # no platform builds — fresh worker processes could not
@@ -324,10 +285,9 @@ class FleetDispatcher:
         try:
             while True:
                 # filename-only progress listing: the supervision loop
-                # never parses record payloads, only `_reap` (for dead
-                # claims) and `_finalize` do
-                resolved = len(self.dirs.done_indices()) + \
-                    len(self.dirs.poison_indices())
+                # parses no task file; only `_reap` reads dead claims
+                resolved = len(self.dirs.done_indices() |
+                               self.dirs.poison_indices())
                 if resolved >= len(self.specs):
                     break
                 self._reap(reassignments)
@@ -344,9 +304,7 @@ class FleetDispatcher:
         finally:
             self.dirs.signal_stop()
             self._join_workers()
-        done = self.dirs.done_records()
-        poison = self.dirs.poison_records()
-        outcome = self._finalize(done, poison, reassignments, cached)
+        outcome = self._finalize(cache, reassignments, cached)
         outcome.wall = time.monotonic() - started
         return outcome
 
@@ -364,24 +322,22 @@ class FleetDispatcher:
                     proc.kill()
                     proc.wait()
 
-    def _finalize(
-        self,
-        done: Dict[int, Dict[str, Any]],
-        poison: Dict[int, Dict[str, Any]],
-        reassignments: Dict[int, int],
-        cached: int,
-    ) -> FleetOutcome:
+    def _finalize(self, cache: ResultCache, reassignments: Dict[int, int],
+                  cached: int) -> FleetOutcome:
+        """Write the manifest: each done point's entry from the cache."""
+        done = self.dirs.done_indices()
         points = []
-        worker_points: Dict[str, int] = {}
-        for i in range(len(self.specs)):
-            record = done.get(i)
-            if record is None:
+        for i, spec in enumerate(self.specs):
+            if i not in done:
                 continue
-            points.append({"name": record["name"],
-                           "spec_hash": record["spec_hash"],
-                           "result": record["result"]})
-            worker_points[record["worker"]] = \
-                worker_points.get(record["worker"], 0) + 1
+            result = lookup(spec, cache)[0]
+            if result is None:
+                raise FleetError(
+                    f"fleet {self.label!r}: point p{i} {spec.name!r} is "
+                    f"done but has no result in {self.cache_dir}"
+                )
+            points.append(sweep_manifest.point_entry(spec, result))
+        poison = self.dirs.poison_records()
         payload = sweep_manifest.manifest_payload(
             self.label, self.scenario, points
         )
@@ -395,7 +351,6 @@ class FleetDispatcher:
             manifest_path=manifest_path, points=points,
             poisoned=dict(sorted(poison.items())),
             reassignments=reassignments,
-            worker_points=dict(sorted(worker_points.items())),
             # final heartbeats survive worker exit: the end-of-run
             # throughput/straggler rows ride on the outcome
             worker_stats=[s.to_dict()

@@ -8,10 +8,10 @@ can attach a worker.
 
 Layout, under ``<cache>/fleet/<label>/``::
 
-    grid.json            the full task list (dispatcher writes once)
+    grid.json            the task list, worker intervals, retry budget
     queue/p<idx>.json    one claimable task per pending point
     active/p<idx>.<wid>.json   a claimed task, owned by worker <wid>
-    done/p<idx>.json     the finished point (name, hash, result, worker)
+    done/p<idx>.json     a finished point's task file, moved here
     poison/p<idx>.json   a quarantined point (exhausted its retries)
     workers/<wid>.json   heartbeat: ts, pid, current point
     stop                 dispatcher's "all points resolved" flag
@@ -21,6 +21,11 @@ active/p7.<wid>.json)`` is atomic: exactly one worker wins, every
 loser gets ``FileNotFoundError`` and steals the next task.  There is
 no partial state — a task is either claimable, owned, done, or
 quarantined.
+
+**Finishing is a rename too.**  A worker that computed its point
+moves ``active/p7.<wid>.json`` to ``done/p7.json``.  The fleet
+directory holds coordination only: a point's result lives in the
+shared result cache, written before that rename, and nowhere else.
 
 **Liveness is a heartbeat.**  Workers rewrite their heartbeat file
 (atomically) every interval; the dispatcher treats a stale heartbeat
@@ -58,6 +63,9 @@ DEFAULT_MAX_RETRIES = 3
 #: Default base of the exponential requeue backoff (seconds).
 DEFAULT_BACKOFF_BASE = 0.5
 
+#: Default seconds a worker sleeps when it finds nothing to claim.
+POLL_INTERVAL = 0.1
+
 
 class FleetDirs:
     """Path bundle for one fleet run's coordination directory."""
@@ -83,10 +91,18 @@ class FleetDirs:
     def task_name(index: int) -> str:
         return f"p{index:06d}.json"
 
+    def claim_path(self, index: int, worker_id: str) -> Path:
+        """Where ``worker_id``'s claim on task ``index`` lives."""
+        return self.active / f"p{index:06d}.{worker_id}.json"
+
+    def write_task(self, directory: Path, task: Dict[str, Any]) -> None:
+        """Write ``task`` as its file in ``directory`` (atomic)."""
+        atomic_write_text(directory / self.task_name(task["index"]),
+                          json.dumps(task, sort_keys=True))
+
     def enqueue(self, task: Dict[str, Any]) -> None:
         """Make a task claimable (atomic write into ``queue/``)."""
-        atomic_write_text(self.queue / self.task_name(task["index"]),
-                          json.dumps(task, sort_keys=True))
+        self.write_task(self.queue, task)
 
     def claim(self, index: int, worker_id: str) -> Optional[Dict[str, Any]]:
         """Try to claim queued task ``index`` for ``worker_id``.
@@ -103,33 +119,49 @@ class FleetDirs:
         which could defeat the retry budget and un-quarantine a
         poison-bound point.
         """
-        src = self.queue / self.task_name(index)
-        dst = self.active / f"p{index:06d}.{worker_id}.json"
         try:
-            os.rename(src, dst)
+            os.rename(self.queue / self.task_name(index),
+                      self.claim_path(index, worker_id))
         except FileNotFoundError:
             return None  # lost the race: someone else owns it now
         try:
-            return json.loads(dst.read_text())
+            return json.loads(self.claim_path(index, worker_id).read_text())
         except (OSError, ValueError):
             # we own an unreadable claim (shared-mount hiccup: enqueue
             # itself is atomic) — hand the file back untouched so the
             # point stays claimable with its history intact
             try:
-                os.rename(dst, src)
+                os.rename(self.claim_path(index, worker_id),
+                          self.queue / self.task_name(index))
             except OSError:
                 pass
             return None
 
-    def queued_tasks(self) -> List[Dict[str, Any]]:
-        """Claimable tasks in index order (unreadable files skipped)."""
-        out = []
-        for path in sorted(self.queue.glob("p*.json")):
-            try:
-                out.append(json.loads(path.read_text()))
-            except (OSError, ValueError):
-                continue  # mid-rename or torn: not claimable right now
-        return out
+    def hand_back(self, task: Dict[str, Any], worker_id: str) -> None:
+        """Return a claimed task to ``queue/`` verbatim: enqueue first,
+        then drop the claim, so the point is never owner-less."""
+        self.enqueue(task)
+        try:
+            os.unlink(self.claim_path(task["index"], worker_id))
+        except FileNotFoundError:
+            pass
+
+    def finish(self, task: Dict[str, Any], worker_id: str) -> None:
+        """Mark ``task`` done: its claim file moves to ``done/``.
+
+        A claim the dispatcher requeued meanwhile is gone; the point
+        is then recorded done from ``task`` itself, because its result
+        is already in the cache.
+        """
+        try:
+            os.rename(self.claim_path(task["index"], worker_id),
+                      self.done / self.task_name(task["index"]))
+        except FileNotFoundError:
+            self.write_task(self.done, task)
+
+    def queued_indices(self) -> List[int]:
+        """Claimable task indices in index order (filenames only)."""
+        return sorted(self._indices(self.queue))
 
     def active_claims(self) -> List[Dict[str, Any]]:
         """Owned tasks: payload + ``worker`` parsed from the filename."""
@@ -146,30 +178,7 @@ class FleetDirs:
             out.append(payload)
         return out
 
-    def release(self, index: int, worker_id: str) -> None:
-        """Drop a worker's claim file (after done/poison is durable)."""
-        try:
-            os.unlink(self.active / f"p{index:06d}.{worker_id}.json")
-        except FileNotFoundError:
-            pass
-
     # -- completion ---------------------------------------------------------
-    def mark_done(self, record: Dict[str, Any]) -> None:
-        """Record a finished point (atomic; idempotent — reruns of a
-        deterministic point write identical bytes)."""
-        atomic_write_text(self.done / self.task_name(record["index"]),
-                          json.dumps(record, sort_keys=True))
-
-    def done_records(self) -> Dict[int, Dict[str, Any]]:
-        out: Dict[int, Dict[str, Any]] = {}
-        for path in sorted(self.done.glob("p*.json")):
-            try:
-                record = json.loads(path.read_text())
-            except (OSError, ValueError):
-                continue
-            out[record["index"]] = record
-        return out
-
     def done_indices(self) -> set:
         """Finished grid indices, parsed from *filenames only* — no
         file is opened, so this is safe to poll at scale."""
@@ -199,8 +208,7 @@ class FleetDirs:
         payload = dict(task)
         payload.pop("_path", None)
         payload["reason"] = reason
-        atomic_write_text(self.poison / self.task_name(task["index"]),
-                          json.dumps(payload, sort_keys=True))
+        self.write_task(self.poison, payload)
 
     def poison_records(self) -> Dict[int, Dict[str, Any]]:
         out: Dict[int, Dict[str, Any]] = {}
@@ -301,8 +309,7 @@ class ResolvedCounter:
         if signature == self._signature and \
                 now - self._checked_at < self.recheck_interval:
             return self._count
-        fresh = len(self.dirs.done_indices()) + \
-            len(self.dirs.poison_indices())
+        fresh = len(self.dirs.done_indices() | self.dirs.poison_indices())
         self._count = max(self._count, fresh)
         self._signature = signature
         self._checked_at = now
@@ -329,8 +336,9 @@ def requeue_task(dirs: FleetDirs, task: Dict[str, Any], *,
 
     The active claim file is removed *after* the requeued/poison
     record is durable, so a dispatcher crash between the two steps
-    leaves a duplicate claim (harmless: the done record and the
-    result cache are both idempotent), never a lost point.
+    leaves a duplicate claim (harmless: a rerun finds its result in
+    the cache and moves to the same ``done/`` name), never a lost
+    point.
     """
     attempt = int(task.get("attempt", 1)) + 1
     now = time.time()

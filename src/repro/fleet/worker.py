@@ -5,10 +5,16 @@
 atomic rename protocol, and runs it through ``run_cached`` — the
 resolver a sweep uses, re-probing the cache because the claim can
 postdate seeding — so results land in the shared
-:class:`~repro.scenarios.runner.ResultCache` *before* the point is
-marked done, and a worker killed between the two leaves an idempotent
-rerun, never a lost or duplicated result.  That per-hash file is the
-point's one stored copy.
+:class:`~repro.scenarios.runner.ResultCache` *before* the claim file
+is renamed into ``done/``, and a worker killed between the two leaves
+an idempotent rerun, never a lost or duplicated result.  That
+per-hash file is the point's one stored copy.
+
+Everything a worker needs comes from the fleet directory: the cache
+root is its grandparent (fleet dirs live at ``<cache>/fleet/<label>``),
+and the heartbeat and poll intervals, retry budget and backoff base
+are read from ``grid.json`` — the values the dispatcher judges
+liveness and backoff by.
 
 A heartbeat thread keeps the worker's liveness file fresh while a
 point computes; a compute that *raises* (as opposed to a scenario
@@ -35,7 +41,6 @@ import socket
 import threading
 import time
 import traceback
-from pathlib import Path
 from typing import Any, Dict, Optional
 
 from ..scenarios.runner import ResultCache, run_cached
@@ -44,6 +49,7 @@ from .protocol import (
     DEFAULT_BACKOFF_BASE,
     DEFAULT_MAX_RETRIES,
     HEARTBEAT_INTERVAL,
+    POLL_INTERVAL,
     FleetDirs,
     ResolvedCounter,
     requeue_task,
@@ -58,21 +64,10 @@ def default_worker_id() -> str:
 
 
 class FleetWorker:
-    """One work-stealing loop over a fleet directory (see module doc).
+    """One work-stealing loop over a fleet directory (see module doc)."""
 
-    ``cache_dir`` defaults to the fleet directory's grandparent —
-    fleet dirs live at ``<cache>/fleet/<label>`` — so a worker
-    normally needs nothing but ``--fleet-dir``.
-    """
-
-    def __init__(
-        self,
-        fleet_dir: os.PathLike | str,
-        cache_dir: Optional[os.PathLike | str] = None,
-        worker_id: Optional[str] = None,
-        heartbeat_interval: float = HEARTBEAT_INTERVAL,
-        poll_interval: float = 0.1,
-    ) -> None:
+    def __init__(self, fleet_dir: os.PathLike | str,
+                 worker_id: Optional[str] = None) -> None:
         self.dirs = FleetDirs(fleet_dir)
         grid = self.dirs.read_grid()
         self.n_points: int = grid["n_points"]
@@ -80,20 +75,23 @@ class FleetWorker:
                                          DEFAULT_MAX_RETRIES)
         self.backoff_base: float = grid.get("backoff_base",
                                             DEFAULT_BACKOFF_BASE)
+        self.heartbeat_interval: float = grid.get("heartbeat_interval",
+                                                  HEARTBEAT_INTERVAL)
+        self.poll_interval: float = grid.get("poll_interval",
+                                             POLL_INTERVAL)
         self.worker_id = worker_id or default_worker_id()
         if "." in self.worker_id:
             raise ValueError(
                 f"worker id must not contain '.', got {self.worker_id!r}"
             )
-        self.heartbeat_interval = heartbeat_interval
-        self.poll_interval = poll_interval
-        cache_root = Path(cache_dir) if cache_dir is not None \
-            else self.dirs.root.parent.parent
-        self.cache = ResultCache(cache_root)
+        self.cache = ResultCache(self.dirs.root.parent.parent)
         self.points_done = 0
         self._current: Optional[int] = None
         self._beat_stop = threading.Event()
         self._resolved_counter = ResolvedCounter(self.dirs)
+        #: index -> ``not_before`` of tasks this worker handed back
+        #: while they cooled down; skipped, unopened, until then
+        self._cooling: Dict[int, float] = {}
         # throughput telemetry (read by the beat thread — plain float
         # reads, no lock needed)
         self._started = time.monotonic()
@@ -152,28 +150,29 @@ class FleetWorker:
 
     # -- the steal loop -----------------------------------------------------
     def _try_claim(self) -> Optional[Dict[str, Any]]:
+        """Claim the first eligible queued task, in index order.
+
+        Eligibility is read from the claimed bytes (rename first, read
+        second): a task still backing off is handed back verbatim and
+        its index skipped, without opening its file, until its
+        ``not_before`` — so one claim reads one task file, not the
+        whole queue.
+        """
         now = time.time()
-        for task in self.dirs.queued_tasks():
-            if task.get("not_before", 0.0) > now:
-                continue  # backing off: not eligible yet
-            claimed = self.dirs.claim(task["index"], self.worker_id)
+        for index in self.dirs.queued_indices():
+            if self._cooling.get(index, 0.0) > now:
+                continue
+            claimed = self.dirs.claim(index, self.worker_id)
             if claimed is None:
                 continue
-            if claimed.get("not_before", 0.0) > now:
-                # a fresher requeue raced our claim: the payload we
-                # renamed carries a bumped backoff — honor it.  Hand
-                # the task back verbatim (enqueue before releasing the
-                # claim, so the point is never owner-less)
-                self.dirs.enqueue(claimed)
-                self.dirs.release(task["index"], self.worker_id)
+            not_before = claimed.get("not_before", 0.0)
+            if not_before > now:
+                self.dirs.hand_back(claimed, self.worker_id)
+                self._cooling[index] = not_before
                 continue
+            self._cooling.pop(index, None)
             return claimed
         return None
-
-    def _resolved(self) -> int:
-        """Resolved (done + poison) points — the cached monotone
-        counter, not a per-poll parse of every record file."""
-        return self._resolved_counter.count()
 
     def _run_task(self, task: Dict[str, Any]) -> None:
         index = task["index"]
@@ -184,7 +183,7 @@ class FleetWorker:
         spec = ScenarioSpec.from_dict(task["spec"])
         self._inject_fault(spec.spec_hash())
         try:
-            result = run_cached(spec, self.cache)
+            run_cached(spec, self.cache)
         except Exception as exc:  # noqa: BLE001 — requeue, keep stealing
             # a *raising* compute (cache I/O fault, bad spec) is a
             # worker-level failure, not a scenario datum: hand the
@@ -192,9 +191,7 @@ class FleetWorker:
             # the traceback goes to stderr (workers/<wid>.log when
             # the dispatcher spawned this worker)
             traceback.print_exc()
-            task["_path"] = str(
-                self.dirs.active / f"p{index:06d}.{self.worker_id}.json"
-            )
+            task["_path"] = str(self.dirs.claim_path(index, self.worker_id))
             requeue_task(
                 self.dirs, task, max_retries=self.max_retries,
                 backoff_base=self.backoff_base,
@@ -204,15 +201,10 @@ class FleetWorker:
         finally:
             self._current = None
             self._claim_started = None
-        # durability order: the cache write (inside run_cached)
-        # happened first, the done record second, the claim release
-        # last — dying between any two steps is recoverable
-        self.dirs.mark_done({
-            "index": index, "name": spec.name,
-            "spec_hash": result.spec_hash, "worker": self.worker_id,
-            "result": result.to_dict(),
-        })
-        self.dirs.release(index, self.worker_id)
+        # durability order: the cache write (inside run_cached) first,
+        # then the claim's rename into done/ — a worker dying between
+        # the two leaves a claim whose rerun is a cache hit
+        self.dirs.finish(task, self.worker_id)
         self.points_done += 1
         # claim-to-done latency feeds the straggler telemetry
         latency = max(0.0, time.monotonic() - claimed_at)
@@ -234,7 +226,8 @@ class FleetWorker:
                     continue
                 if self.dirs.stopped:
                     break
-                if self._resolved() >= self.n_points:
+                # the cached monotone counter, not a per-poll listing
+                if self._resolved_counter.count() >= self.n_points:
                     break  # fully resolved even without a stop flag
                 time.sleep(self.poll_interval)
         finally:

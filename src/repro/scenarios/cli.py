@@ -64,7 +64,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..params import parse_grid_sets, parse_value
 from .manifest import dump_manifest, manifest_payload, point_entry, sweeps_dir
@@ -83,11 +83,44 @@ DEFAULT_CACHE_DIR = os.environ.get(
 _parse_value = parse_value
 
 
+class _UsageError(Exception):
+    """A bad invocation — reported on stderr without a traceback, exit
+    code 2.  The one usage error of every ``repro`` CLI."""
+
+
+def _resolve(fn, *args):
+    """Run a name/field resolution step, turning KeyError into a clean
+    usage error — execution errors keep their tracebacks."""
+    try:
+        return fn(*args)
+    except KeyError as exc:
+        raise _UsageError(exc.args[0]) from None
+
+
 def _parse_sets(pairs: Sequence[str]) -> Dict[str, Tuple[Any, ...]]:
     try:
         return parse_grid_sets(pairs)
     except ValueError as exc:
-        raise SystemExit(str(exc)) from None
+        raise _UsageError(str(exc)) from None
+
+
+def _grid_specs(entry, sets: Optional[Sequence[str]]) -> List[ScenarioSpec]:
+    """The points ``sweep`` and ``fleet run`` cover.  ``--set``
+    replaces the registered grid wholesale; without it the entry's own
+    points run — *including* extra grid sheets (prediction-grid's
+    error ablation) that one cartesian product over the main grid
+    cannot express."""
+    grid = _parse_sets(sets or [])
+    return (_resolve(expand_grid, entry.base, grid) if grid
+            else entry.points())
+
+
+def _check_label(label: str) -> None:
+    """Reject labels that would escape the sweeps directory."""
+    if not label or label != Path(label).name or label in (".", ".."):
+        raise _UsageError(
+            f"--label must be a plain file name, got {label!r}"
+        )
 
 
 def _print_results(results: Sequence[ScenarioResult],
@@ -114,19 +147,6 @@ def cmd_list(_args: argparse.Namespace) -> int:
         print(f"{name:<{width}}  {entry.base.kind:<9} "
               f"{entry.n_points:>3} pt  {entry.title}")
     return 0
-
-
-class _UsageError(Exception):
-    """A bad scenario name or grid field — reported without traceback."""
-
-
-def _resolve(fn, *args):
-    """Run a name/field resolution step, turning KeyError into a clean
-    usage error — execution errors keep their tracebacks."""
-    try:
-        return fn(*args)
-    except KeyError as exc:
-        raise _UsageError(exc.args[0]) from None
 
 
 def cmd_show(args: argparse.Namespace) -> int:
@@ -156,13 +176,9 @@ _dump_manifest = dump_manifest
 def _check_label_args(args: argparse.Namespace) -> None:
     """Reject labels that would escape the sweeps directory — before
     the (possibly long) sweep runs, not after."""
-    label = args.label
-    if label is None:
+    if args.label is None:
         return
-    if not label or label != Path(label).name or label in (".", ".."):
-        raise _UsageError(
-            f"--label must be a plain file name, got {label!r}"
-        )
+    _check_label(args.label)
     if args.no_cache:
         raise _UsageError(
             "--label needs the on-disk cache to record a sweep "
@@ -298,13 +314,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if not Path(source).is_dir():
             raise _UsageError(f"--from-cache {source}: no such directory")
     entry = _resolve(get_scenario, args.name)
-    grid = _parse_sets(args.set or [])
-    # --set replaces the registered grid wholesale; without it the
-    # entry's own points run — *including* extra grid sheets
-    # (prediction-grid's error ablation) that one cartesian product
-    # over the main grid cannot express
-    specs = (_resolve(expand_grid, entry.base, grid) if grid
-             else entry.points())
+    specs = _grid_specs(entry, args.set)
     if args.shard:
         index, count = _parse_shard(args.shard)
         n_points = len(specs)

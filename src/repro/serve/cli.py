@@ -23,15 +23,11 @@ import sys
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..params import parse_scalar_set
-from ..scenarios.cli import DEFAULT_CACHE_DIR
+from ..scenarios.cli import DEFAULT_CACHE_DIR, _UsageError
 from .daemon import DEFAULT_REQUEST_TIMEOUT, DEFAULT_WORKERS, ServeDaemon
 from .engine import QueryEngine
 from .protocol import PROTOCOL_VERSION, ServeClient
 from .query import QuerySpec
-
-
-class _UsageError(Exception):
-    """Bad invocation (exit code 2, message on stderr)."""
 
 
 def _build_query(args: argparse.Namespace) -> QuerySpec:

@@ -13,7 +13,12 @@ import argparse
 import pytest
 
 from repro.params import parse_grid_sets, parse_scalar_set, parse_value
-from repro.scenarios.cli import _parse_sets, _parse_value
+from repro.scenarios.cli import (
+    _UsageError,
+    _parse_sets,
+    _parse_value,
+    _resolve,
+)
 from repro.serve.cli import _build_query
 
 
@@ -44,10 +49,20 @@ class TestPairForms:
             with pytest.raises(ValueError, match="--set expects"):
                 parse_grid_sets([bad])
 
-    def test_scenarios_wrapper_keeps_systemexit(self):
+    def test_scenarios_wrapper_is_a_usage_error(self):
+        # a usage error exits 2 with `error:`, as every other bad
+        # argument does (it was a SystemExit, exit 1)
         assert _parse_sets(["n_peers=4"]) == {"n_peers": (4,)}
-        with pytest.raises(SystemExit, match="--set expects"):
+        with pytest.raises(_UsageError, match="--set expects"):
             _parse_sets(["n_peers"])
+
+    def test_one_usage_error_and_resolver_for_every_cli(self):
+        from repro.fleet import cli as fleet_cli
+        from repro.serve import cli as serve_cli
+
+        assert serve_cli._UsageError is _UsageError
+        assert fleet_cli._UsageError is _UsageError
+        assert fleet_cli._resolve is _resolve
 
     def test_scalar_form(self):
         assert parse_scalar_set("workload.level=O3") \

@@ -18,7 +18,10 @@ Contracts pinned here:
 
 import json
 import os
+import re
+import shutil
 import signal
+import sys
 import threading
 import time
 from pathlib import Path
@@ -29,6 +32,7 @@ import repro
 from repro.fleet import (
     FleetDirs,
     FleetDispatcher,
+    FleetError,
     FleetWorker,
     backoff_delay,
     fleet_stats,
@@ -98,6 +102,21 @@ def _assert_one_result_file_per_point(cache: Path, manifest: Path):
     results = ResultCache(cache)
     for point in points:
         assert results.load(point["spec_hash"])["result"] == point["result"]
+
+
+def _queued(dirs):
+    """The queued task payloads, in index order."""
+    return [json.loads(p.read_text())
+            for p in sorted(dirs.queue.glob("p*.json"))]
+
+
+def _assert_fleet_dir_holds_no_result(root: Path, n_done: int):
+    """The fleet directory is coordination only: ``done/`` holds one
+    task file per finished point, and no file anywhere holds a
+    result."""
+    assert len(list((root / "done").glob("p*.json"))) == n_done
+    for path in root.rglob("*.json"):
+        assert "result" not in json.loads(path.read_text()), path
 
 
 # -- the ResultStore delegate -------------------------------------------------
@@ -246,8 +265,7 @@ class TestProtocol:
         dirs = FleetDirs(cache / "fleet" / "g").create()
         dirs.write_grid({"label": "g", "scenario": SCENARIO,
                          "n_points": 1})
-        worker = FleetWorker(dirs.root, cache_dir=cache,
-                             worker_id="w0")
+        worker = FleetWorker(dirs.root, worker_id="w0")
         dirs.enqueue({"index": 0, "name": "p", "spec_hash": "h",
                       "attempt": 1})
         future = time.time() + 60.0
@@ -260,9 +278,151 @@ class TestProtocol:
 
         monkeypatch.setattr(FleetDirs, "claim", racing_claim)
         assert worker._try_claim() is None  # noqa: SLF001
-        (task,) = worker.dirs.queued_tasks()
+        (task,) = _queued(worker.dirs)
         assert task["attempt"] == 2 and task["not_before"] == future
         assert worker.dirs.active_claims() == []
+
+    def test_one_claim_opens_one_task_file(self, tmp_path, monkeypatch):
+        """A claim reads the task file it renamed and no other, and a
+        head task still backing off is handed back once, then skipped
+        unopened until its ``not_before``."""
+        dirs = FleetDirs(tmp_path / "cache" / "fleet" / "g").create()
+        dirs.write_grid({"label": "g", "scenario": SCENARIO,
+                         "n_points": 200})
+        not_before = time.time() + 0.5
+        for i in range(200):
+            task = {"index": i, "name": "p", "spec_hash": f"h{i}",
+                    "attempt": 1}
+            dirs.enqueue(dict(task, not_before=not_before) if i == 0
+                         else task)
+        worker = FleetWorker(dirs.root, worker_id="w0")
+        opened = []
+        real_read_text = Path.read_text
+
+        def counting_read_text(path, *args, **kwargs):
+            if path.name.startswith("p"):
+                opened.append(path.name)
+            return real_read_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", counting_read_text)
+        assert worker._try_claim()["index"] == 1  # noqa: SLF001
+        assert len(opened) == 2  # the cooling head, handed back, and p1
+        for expected in (2, 3):
+            opened.clear()
+            assert worker._try_claim()["index"] == expected  # noqa: SLF001
+            assert len(opened) == 1
+        assert 0 in dirs.queued_indices()
+        time.sleep(max(0.0, not_before - time.time()) + 0.05)
+        assert worker._try_claim()["index"] == 0  # noqa: SLF001
+
+    def test_concurrent_stealers_claim_each_point_once(self, tmp_path):
+        """More stealing threads than cores over one queue, a quarter of
+        it cooling down at first: every point is claimed exactly once
+        and lands in ``done/``, and nothing is left queued or owned."""
+        dirs = FleetDirs(tmp_path / "cache" / "fleet" / "g").create()
+        dirs.write_grid({"label": "g", "scenario": SCENARIO,
+                         "n_points": 100})
+        not_before = time.time() + 0.2
+        for i in range(100):
+            task = {"index": i, "name": "p", "spec_hash": f"h{i}",
+                    "attempt": 1}
+            dirs.enqueue(dict(task, not_before=not_before) if i % 4 == 0
+                         else task)
+        claims = []
+        deadline = time.monotonic() + 30.0
+
+        def steal(worker):
+            while len(dirs.done_indices()) < 100 and \
+                    time.monotonic() < deadline:
+                task = worker._try_claim()  # noqa: SLF001
+                if task is None:
+                    time.sleep(0.005)
+                    continue
+                claims.append(task["index"])
+                dirs.finish(task, worker.worker_id)
+
+        workers = [FleetWorker(dirs.root, worker_id=f"w{i}")
+                   for i in range(len(os.sched_getaffinity(0)) + 2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=steal, args=(w,))
+                       for w in workers]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(claims) == list(range(100))
+        assert dirs.done_indices() == set(range(100))
+        assert _queued(dirs) == [] and dirs.active_claims() == []
+
+    def test_finish_moves_the_claim_file_to_done(self, tmp_path):
+        dirs = FleetDirs(tmp_path / "f").create()
+        task = {"index": 4, "name": "p", "spec_hash": "h", "attempt": 1}
+        dirs.enqueue(task)
+        claimed = dirs.claim(4, "w0")
+        claim_bytes = dirs.claim_path(4, "w0").read_bytes()
+        dirs.finish(claimed, "w0")
+        assert dirs.active_claims() == []
+        assert (dirs.done / dirs.task_name(4)).read_bytes() == claim_bytes
+
+    def test_finish_after_requeue_still_lands_in_done(self, tmp_path,
+                                                      monkeypatch):
+        """The dispatcher requeued the claim while the worker computed
+        (judged dead, say): the worker still records the point done,
+        and the result it computed is in the cache."""
+        monkeypatch.delenv("REPRO_FLEET_FAULT", raising=False)
+        clear_memo()
+        cache = tmp_path / "cache"
+        spec = _specs()[0]
+        dirs = FleetDirs(cache / "fleet" / "g").create()
+        dirs.write_grid({"label": "g", "scenario": SCENARIO,
+                         "n_points": 1})
+        dirs.enqueue({"index": 0, "name": spec.name,
+                      "spec_hash": spec.spec_hash(),
+                      "spec": spec.to_dict(), "attempt": 1})
+        worker = FleetWorker(dirs.root, worker_id="w0")
+        from repro.fleet import worker as worker_module
+        real_run_cached = worker_module.run_cached
+
+        def requeued_meanwhile(spec, cache):
+            (claim,) = dirs.active_claims()
+            requeue_task(dirs, claim, max_retries=3, backoff_base=0.01,
+                         reason="worker w0 died")
+            return real_run_cached(spec, cache)
+
+        monkeypatch.setattr(worker_module, "run_cached",
+                            requeued_meanwhile)
+        worker._run_task(worker._try_claim())  # noqa: SLF001
+        assert dirs.done_indices() == {0}
+        assert dirs.active_claims() == []
+        assert ResultCache(cache).get(spec) is not None
+
+    def test_worker_takes_everything_from_the_fleet_dir(self, tmp_path):
+        """Intervals, retry budget and backoff come from ``grid.json``;
+        the cache root is the fleet dir's grandparent."""
+        cache = tmp_path / "cache"
+        dirs = FleetDirs(cache / "fleet" / "g").create()
+        dirs.write_grid({"label": "g", "scenario": SCENARIO,
+                         "n_points": 1, "heartbeat_interval": 0.25,
+                         "poll_interval": 0.02, "max_retries": 5,
+                         "backoff_base": 0.3})
+        worker = FleetWorker(dirs.root, worker_id="w0")
+        assert (worker.heartbeat_interval, worker.poll_interval) \
+            == (0.25, 0.02)
+        assert (worker.max_retries, worker.backoff_base) == (5, 0.3)
+        assert worker.cache.root == cache
+        dispatcher = FleetDispatcher(
+            _specs()[:1], label="g", scenario=SCENARIO, cache_dir=cache,
+            workers=0, heartbeat_interval=0.2, poll_interval=0.03,
+        )
+        dispatcher._prepare_dirs()  # noqa: SLF001
+        grid = dispatcher.dirs.read_grid()
+        assert (grid["heartbeat_interval"], grid["poll_interval"]) \
+            == (0.2, 0.03)
 
     def test_raising_compute_requeues_and_logs_traceback(
             self, tmp_path, monkeypatch, capsys):
@@ -285,10 +445,9 @@ class TestProtocol:
         dirs.enqueue({"index": 0, "name": spec.name,
                       "spec_hash": spec.spec_hash(),
                       "spec": spec.to_dict(), "attempt": 1})
-        worker = FleetWorker(dirs.root, cache_dir=cache,
-                             worker_id="w0")
+        worker = FleetWorker(dirs.root, worker_id="w0")
         worker._run_task(worker._try_claim())  # noqa: SLF001
-        (task,) = dirs.queued_tasks()
+        (task,) = _queued(dirs)
         assert task["attempt"] == 2
         assert task["attempts"][-1]["reason"] == \
             "worker-error: cache disk on fire"
@@ -307,12 +466,12 @@ class TestProtocol:
         task = {"index": 3, "name": "p", "spec_hash": "h", "attempt": 1}
         assert requeue_task(dirs, task, max_retries=2,
                             backoff_base=0.01, reason="first") is True
-        requeued = dirs.queued_tasks()[0]
+        requeued = _queued(dirs)[0]
         assert requeued["attempt"] == 2
         assert requeued["not_before"] > 0
         assert requeue_task(dirs, requeued, max_retries=2,
                             backoff_base=0.01, reason="second") is False
-        assert dirs.queued_tasks() == []
+        assert _queued(dirs) == []
         poison = dirs.poison_records()[3]
         history = poison["attempts"]
         assert [h["attempt"] for h in history] == [2, 3]
@@ -334,7 +493,8 @@ class TestProtocol:
 
         counter = ResolvedCounter(dirs, recheck_interval=0.0)
         assert counter.count() == 0
-        dirs.mark_done({"index": 0, "name": "p", "spec_hash": "h"})
+        dirs.write_task(dirs.done, {"index": 0, "name": "p",
+                                    "spec_hash": "h"})
         dirs.mark_poison({"index": 1, "name": "q", "spec_hash": "i"},
                          reason="bad")
         assert counter.count() == 2
@@ -349,7 +509,8 @@ class TestProtocol:
         from repro.fleet import ResolvedCounter
 
         counter = ResolvedCounter(dirs, recheck_interval=3600.0)
-        dirs.mark_done({"index": 0, "name": "p", "spec_hash": "h"})
+        dirs.write_task(dirs.done, {"index": 0, "name": "p",
+                                    "spec_hash": "h"})
         assert counter.count() == 1
         calls = {"n": 0}
         real = dirs.done_indices
@@ -362,7 +523,8 @@ class TestProtocol:
         # unchanged directories + a fresh check: the cache answers
         assert counter.count() == 1
         assert calls["n"] == 0
-        dirs.mark_done({"index": 1, "name": "q", "spec_hash": "i"})
+        dirs.write_task(dirs.done, {"index": 1, "name": "q",
+                                    "spec_hash": "i"})
         # force the mtime tick (filesystem granularity can be coarse)
         stat = os.stat(dirs.done)
         os.utime(dirs.done, ns=(stat.st_atime_ns, stat.st_mtime_ns + 1))
@@ -421,7 +583,8 @@ class TestTelemetry:
                          "n_points": 4})
         dirs.enqueue({"index": 2, "name": "p", "spec_hash": "h",
                       "attempt": 1})
-        dirs.mark_done({"index": 0, "name": "p", "spec_hash": "h0"})
+        dirs.write_task(dirs.done, {"index": 0, "name": "p",
+                                    "spec_hash": "h0"})
         dirs.beat("fast", None, points_done=2,
                   telemetry={"points_per_min": 10.0})
         dirs.beat("slow", None, points_done=1,
@@ -441,19 +604,19 @@ class TestTelemetry:
 
 class TestFleetRuns:
     def test_worker_never_writes_the_store(self, tmp_path):
-        """A worker persists to the result cache and its done record
-        only: no ``store/`` log exists beside them."""
+        """A worker persists to the result cache and moves its claim to
+        ``done/`` only: no ``store/`` log exists beside them."""
         clear_memo()
         cache = tmp_path / "cache"
         spec = _specs()[0]
         dirs = FleetDirs(cache / "fleet" / "g").create()
         dirs.write_grid({"label": "g", "scenario": SCENARIO,
-                         "n_points": 1})
+                         "n_points": 1, "heartbeat_interval": 0.05,
+                         "poll_interval": 0.01})
         dirs.enqueue({"index": 0, "name": spec.name,
                       "spec_hash": spec.spec_hash(),
                       "spec": spec.to_dict(), "attempt": 1})
-        worker = FleetWorker(dirs.root, cache_dir=cache, worker_id="w0",
-                             heartbeat_interval=0.05, poll_interval=0.01)
+        worker = FleetWorker(dirs.root, worker_id="w0")
         assert worker.run() == 1
         assert dirs.done_indices() == {0}
         assert ResultCache(cache).get(spec) is not None
@@ -493,10 +656,56 @@ class TestFleetRuns:
         assert outcome.complete
         assert outcome.computed == 12 and outcome.cached == 0
         # at least two workers actually stole work
-        assert len(outcome.worker_points) >= 2
+        assert sum(1 for w in outcome.worker_stats
+                   if w["points_done"] > 0) >= 2
         assert outcome.manifest_path.read_bytes() == serial.read_bytes()
         _assert_one_result_file_per_point(tmp_path / "fleet",
                                           outcome.manifest_path)
+
+    def test_fleet_dir_holds_no_result(self, tmp_path):
+        """Points seeded from the cache and points workers computed
+        alike leave a task file in ``done/`` and no result copy."""
+        from repro.scenarios import SweepRunner
+
+        cache = tmp_path / "fleet"
+        specs = _specs()[:6]
+        SweepRunner(cache_dir=cache).run(specs[:3], parallel=False)
+        clear_memo()
+        outcome = FleetDispatcher(
+            specs, label="g", scenario=SCENARIO, cache_dir=cache,
+            workers=2, heartbeat_interval=0.1, poll_interval=0.05,
+            wall_timeout=120.0, spawn_env=_spawn_env(),
+        ).run()
+        assert outcome.complete
+        assert (outcome.cached, outcome.computed) == (3, 3)
+        _assert_fleet_dir_holds_no_result(cache / "fleet" / "g", 6)
+
+    def test_done_point_missing_from_the_cache_is_an_error(
+            self, tmp_path, monkeypatch):
+        """A done point the result cache cannot answer at finalize is
+        named in a ``FleetError``; it is never recomputed."""
+        cache = tmp_path / "shared"
+        _serial_manifest(cache)
+        specs = _specs()
+        dispatcher = FleetDispatcher(
+            specs, label="g", scenario=SCENARIO, cache_dir=cache,
+            workers=0, wall_timeout=60.0,
+        )
+        real_finalize = dispatcher._finalize  # noqa: SLF001
+
+        def lose_one(*args):
+            os.unlink(cache / f"{specs[3].spec_hash()}.json")
+            clear_memo()
+            return real_finalize(*args)
+
+        monkeypatch.setattr(dispatcher, "_finalize", lose_one)
+        monkeypatch.setattr(
+            "repro.scenarios.runner.run_scenario",
+            lambda *a, **k: pytest.fail("a done point was recomputed"))
+        with pytest.raises(FleetError,
+                           match=re.escape(f"p3 {specs[3].name!r}")):
+            dispatcher.run()
+        assert not (cache / f"{specs[3].spec_hash()}.json").exists()
 
     def test_fleet_resolves_from_shared_cache_without_workers(
             self, tmp_path):
@@ -544,7 +753,7 @@ class TestFleetRuns:
         assert len(cache) == 4
         assert [cache.get(s) for s in specs] == outcome.results()
 
-    def test_rerun_resumes_from_done_records(self, tmp_path):
+    def test_rerun_resumes_from_the_cache(self, tmp_path):
         cache = tmp_path / "fleet"
         specs = _specs()
         clear_memo()
@@ -564,8 +773,10 @@ class TestFleetRuns:
         ) == 0
         html = report.read_text()
         assert "<h2>Fleet workers</h2>" in html
-        for worker in first.worker_points:
-            assert f"<td>{worker}</td>" in html
+        for worker in first.worker_stats:
+            if worker["points_done"] > 0:
+                assert f"<td>{worker['worker']}</td>" in html
+        _assert_fleet_dir_holds_no_result(cache / "fleet" / "g", 12)
         again = FleetDispatcher(
             specs, label="g", scenario=SCENARIO, cache_dir=cache,
             workers=0, wall_timeout=60.0,
@@ -574,6 +785,16 @@ class TestFleetRuns:
         assert again.manifest_path.read_bytes() \
             == first.manifest_path.read_bytes()
         _assert_one_result_file_per_point(cache, again.manifest_path)
+        # the fleet dir is coordination only: deleting it loses nothing
+        shutil.rmtree(cache / "fleet" / "g")
+        clear_memo()
+        third = FleetDispatcher(
+            specs, label="g", scenario=SCENARIO, cache_dir=cache,
+            workers=0, wall_timeout=60.0,
+        ).run()
+        assert third.complete and third.computed == 0
+        assert third.manifest_path.read_bytes() \
+            == first.manifest_path.read_bytes()
 
 class TestFleetFaults:
     def test_sigkilled_worker_point_reassigned_exactly_once(
@@ -627,7 +848,7 @@ class TestFleetFaults:
         assert outcome.reassignments == {5: 1}
         # exactly one done record per grid index, one result file per
         # point: the reassignment produced no duplicate writes
-        done = dispatcher.dirs.done_records()
+        done = dispatcher.dirs.done_indices()
         assert sorted(done) == list(range(12))
         _assert_one_result_file_per_point(tmp_path / "fleet",
                                           outcome.manifest_path)
@@ -707,6 +928,29 @@ class TestFleetCli:
         assert "fleet 'g'" in out
         assert "fast" in out and "slow" in out
         assert "STRAGGLER" in out
+
+    def test_worker_offers_only_fleet_dir_and_worker_id(self, capsys):
+        with pytest.raises(SystemExit):
+            fleet_main(["worker", "--help"])
+        out = capsys.readouterr().out
+        assert set(re.findall(r"--[a-z-]+", out)) \
+            == {"--help", "--fleet-dir", "--worker-id"}
+        for gone in ("--cache-dir", "--heartbeat-interval",
+                     "--poll-interval"):
+            with pytest.raises(SystemExit) as exc:
+                fleet_main(["worker", "--fleet-dir", "f", gone, "1"])
+            assert exc.value.code == 2
+
+    def test_malformed_set_is_a_usage_error_in_both_clis(self, tmp_path,
+                                                         capsys):
+        """``fleet run`` and ``scenarios sweep`` share one grid step: a
+        malformed ``--set`` exits 2 with ``error:`` from both."""
+        for main in (fleet_main, scenarios_main):
+            assert main([{fleet_main: "run", scenarios_main: "sweep"}[main],
+                         SCENARIO, "--set", "bogus",
+                         "--cache-dir", str(tmp_path)]) == 2
+            assert capsys.readouterr().err.startswith(
+                "error: --set expects")
 
     def test_help_offers_only_run_worker_stats(self, capsys):
         with pytest.raises(SystemExit):
