@@ -61,7 +61,7 @@ def test_shard_merge_smoke(tmp_path, capsys):
     ]
 
     def sweep(cache, *extra):
-        return main(["sweep", "fig10-cluster-o3", "--serial",
+        return main(["sweep", "fig10-cluster-o3", "--workers", "1",
                      "--label", "tiny", "--cache-dir", str(cache)]
                     + sets + list(extra))
 

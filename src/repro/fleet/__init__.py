@@ -23,7 +23,6 @@ from .protocol import (
     DEFAULT_LIVENESS_TIMEOUT,
     DEFAULT_MAX_RETRIES,
     FleetDirs,
-    ResolvedCounter,
     backoff_delay,
     requeue_task,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "FleetOutcome",
     "FleetStats",
     "FleetWorker",
-    "ResolvedCounter",
     "WorkerStat",
     "backoff_delay",
     "default_worker_id",

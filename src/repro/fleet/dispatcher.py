@@ -12,18 +12,25 @@ retry budget and reported, never retried forever.  (Static
 ``sweep --shard i/N`` slices remain for machines that share no
 filesystem; the fleet needs a shared mount.)
 
-The output contract is the sweep's: the dispatcher writes a sweep
-manifest through the shared canonical serializer, **byte-identical**
-to the manifest an unsharded serial sweep of the same grid produces
-(pinned by ``tests/test_fleet.py``).  Results themselves live in the
-shared :class:`~repro.scenarios.runner.ResultCache`, one file per spec
-hash: workers write the points they compute, and seeding writes the
-points it resolves from the in-process memo.  The fleet directory
-holds coordination only; the manifest is built from the cache with
-the serial sweep's entry builder, and a done point the cache cannot
-answer is a :class:`FleetError`, never a silent recompute.  If any
-point was quarantined the manifest is marked ``"partial": true`` —
-the same refuse-to-compare semantics a killed sweep has.
+The output contract is the sweep's: the dispatcher renders the
+label's manifest with the sweep's own writer,
+:func:`~repro.scenarios.manifest.write_manifest`, so it is
+**byte-identical** to the manifest an unsharded serial sweep of the
+same grid produces (pinned by ``tests/test_fleet.py``).  Results
+themselves live in the shared
+:class:`~repro.scenarios.runner.ResultCache`, one file per spec hash:
+workers write the points they compute, and seeding writes the points
+it resolves from the in-process memo.  The fleet directory holds
+coordination only.
+
+The manifest is written twice.  Seeding writes it, ``"partial":
+true`` while any point is uncached, so a fleet that times out or is
+killed leaves a manifest ``compare`` refuses, never an older complete
+one.  Finalize writes it again: a point the cache still cannot answer
+is *poisoned* when it has a quarantine record (the manifest stays
+partial) and a :class:`FleetError` otherwise, never a silent
+recompute.  A quarantined point the cache can answer (a worker
+finished it after all) is simply done.
 
 Re-running a fleet over the same grid *resumes* from the cache: the
 fleet directory starts empty, and seeding resolves every point a
@@ -33,6 +40,7 @@ enqueued.
 
 from __future__ import annotations
 
+import json
 import os
 import shutil
 import subprocess
@@ -44,7 +52,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from ..scenarios import manifest as sweep_manifest
 from ..scenarios import workloads
-from ..scenarios.runner import ResultCache, ScenarioResult, lookup, trace_dir
+from ..scenarios.runner import ResultCache, ScenarioResult, trace_dir
 from ..scenarios.spec import ScenarioSpec
 from .protocol import (
     DEFAULT_BACKOFF_BASE,
@@ -72,7 +80,8 @@ class FleetOutcome:
     manifest_path: Optional[Path]
     #: Manifest-shaped entries (grid order, resolved points only).
     points: List[Dict[str, Any]] = field(default_factory=list)
-    #: Grid index → poison record for quarantined points.
+    #: Grid index → poison record for quarantined points the cache
+    #: cannot answer.
     poisoned: Dict[int, Dict[str, Any]] = field(default_factory=dict)
     #: Grid index → times the dispatcher requeued it (dead workers).
     reassignments: Dict[int, int] = field(default_factory=dict)
@@ -191,26 +200,26 @@ class FleetDispatcher:
         })
 
     def _seed_from_cache(self, cache: ResultCache) -> int:
-        """Resolve memo/disk hits in-parent; enqueue the rest.
+        """Write the manifest from the cache; enqueue what it lacks.
 
         A point already answered by the shared cache (an earlier
         sweep, another fleet, a previous run of this one) never
         reaches a worker — the same cache-first contract
         ``SweepRunner.run`` has; its task file goes straight to
         ``done/``, and a memo hit is written to the cache (see
-        :func:`~repro.scenarios.runner.lookup`).
+        :func:`~repro.scenarios.runner.lookup`).  Returns the hits.
         """
-        hits = 0
+        missing = set(sweep_manifest.write_manifest(
+            cache, self.label, self.scenario, self.specs))
         for i, spec in enumerate(self.specs):
             task = {"index": i, "name": spec.name,
                     "spec_hash": spec.spec_hash(),
                     "spec": spec.to_dict(), "attempt": 1}
-            if lookup(spec, cache)[0] is not None:
-                self.dirs.write_task(self.dirs.done, task)
-                hits += 1
-            else:
+            if i in missing:
                 self.dirs.enqueue(task)
-        return hits
+            else:
+                self.dirs.write_task(self.dirs.done, task)
+        return len(self.specs) - len(missing)
 
     # -- worker processes ---------------------------------------------------
     def _spawn_worker(self) -> None:
@@ -324,32 +333,24 @@ class FleetDispatcher:
 
     def _finalize(self, cache: ResultCache, reassignments: Dict[int, int],
                   cached: int) -> FleetOutcome:
-        """Write the manifest: each done point's entry from the cache."""
-        done = self.dirs.done_indices()
-        points = []
-        for i, spec in enumerate(self.specs):
-            if i not in done:
-                continue
-            result = lookup(spec, cache)[0]
-            if result is None:
-                raise FleetError(
-                    f"fleet {self.label!r}: point p{i} {spec.name!r} is "
-                    f"done but has no result in {self.cache_dir}"
-                )
-            points.append(sweep_manifest.point_entry(spec, result))
+        """Rewrite the manifest from the cache and report the run."""
+        missing = sweep_manifest.write_manifest(
+            cache, self.label, self.scenario, self.specs)
         poison = self.dirs.poison_records()
-        payload = sweep_manifest.manifest_payload(
-            self.label, self.scenario, points
-        )
-        if poison:
-            payload["partial"] = True
-        manifest_path = sweep_manifest.sweeps_dir(self.cache_dir) / \
-            f"{self.label}.json"
-        sweep_manifest.dump_manifest(payload, manifest_path)
+        for i in missing:
+            if i not in poison:
+                raise FleetError(
+                    f"fleet {self.label!r}: point p{i} "
+                    f"{self.specs[i].name!r} is done but has no result "
+                    f"in {self.cache_dir}"
+                )
+        manifest_path = sweep_manifest.manifest_path(self.cache_dir,
+                                                     self.label)
+        points = json.loads(manifest_path.read_text())["points"]
         return FleetOutcome(
             label=self.label, scenario=self.scenario,
             manifest_path=manifest_path, points=points,
-            poisoned=dict(sorted(poison.items())),
+            poisoned={i: poison[i] for i in missing},
             reassignments=reassignments,
             # final heartbeats survive worker exit: the end-of-run
             # throughput/straggler rows ride on the outcome

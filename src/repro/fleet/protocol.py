@@ -23,7 +23,8 @@ no partial state — a task is either claimable, owned, done, or
 quarantined.
 
 **Finishing is a rename too.**  A worker that computed its point
-moves ``active/p7.<wid>.json`` to ``done/p7.json``.  The fleet
+moves ``active/p7.<wid>.json`` to ``done/p7.json`` and drops any
+``queue/`` or ``poison/`` copy a revoked claim left.  The fleet
 directory holds coordination only: a point's result lives in the
 shared result cache, written before that rename, and nowhere else.
 
@@ -149,15 +150,24 @@ class FleetDirs:
     def finish(self, task: Dict[str, Any], worker_id: str) -> None:
         """Mark ``task`` done: its claim file moves to ``done/``.
 
-        A claim the dispatcher requeued meanwhile is gone; the point
-        is then recorded done from ``task`` itself, because its result
-        is already in the cache.
+        A claim the dispatcher revoked meanwhile (judged dead, say) is
+        gone; the point is then recorded done from ``task`` itself,
+        because its result is already in the cache.  Either way the
+        point's requeued ``queue/`` or quarantined ``poison/`` copy is
+        then dropped, so it is neither claimed again nor counted as
+        poisoned.
         """
+        name = self.task_name(task["index"])
         try:
             os.rename(self.claim_path(task["index"], worker_id),
-                      self.done / self.task_name(task["index"]))
+                      self.done / name)
         except FileNotFoundError:
             self.write_task(self.done, task)
+        for directory in (self.queue, self.poison):
+            try:
+                os.unlink(directory / name)
+            except FileNotFoundError:
+                pass
 
     def queued_indices(self) -> List[int]:
         """Claimable task indices in index order (filenames only)."""
@@ -264,56 +274,6 @@ class FleetDirs:
     @property
     def stopped(self) -> bool:
         return self.stop_path.exists()
-
-
-class ResolvedCounter:
-    """Monotone count of resolved (done + poison) points, cheap to poll.
-
-    The worker's steal loop asks "is the fleet resolved?" every poll
-    interval; globbing *and parsing* every ``done/`` + ``poison/``
-    file each time is O(points) JSON decodes at 10 Hz — the full-file
-    scan the store just shed, re-grown in the fleet dir.  This counter
-    re-lists (filenames only, no file opened) only when either
-    directory's mtime moved, and otherwise returns the cached count.
-
-    The count is **monotone**: resolved files are never removed while
-    a fleet runs, so the counter only ratchets up — a racing listing
-    that catches a directory mid-rename can undercount a snapshot but
-    never walk the counter backwards.  Because directory-mtime
-    granularity is filesystem-dependent, a cached value older than
-    ``recheck_interval`` seconds is re-verified even with unchanged
-    mtimes, so a same-tick landing can never stall resolution
-    (the dispatcher's ``stop`` flag is the belt to this suspender).
-    """
-
-    def __init__(self, dirs: FleetDirs,
-                 recheck_interval: float = 2.0) -> None:
-        self.dirs = dirs
-        self.recheck_interval = recheck_interval
-        self._count = 0
-        self._signature: Optional[tuple] = None
-        self._checked_at = 0.0
-
-    @staticmethod
-    def _mtime(path: Path) -> int:
-        try:
-            return os.stat(path).st_mtime_ns
-        except OSError:
-            return -1
-
-    def count(self) -> int:
-        """Resolved points right now (cached between mtime changes)."""
-        now = time.monotonic()
-        signature = (self._mtime(self.dirs.done),
-                     self._mtime(self.dirs.poison))
-        if signature == self._signature and \
-                now - self._checked_at < self.recheck_interval:
-            return self._count
-        fresh = len(self.dirs.done_indices() | self.dirs.poison_indices())
-        self._count = max(self._count, fresh)
-        self._signature = signature
-        self._checked_at = now
-        return self._count
 
 
 def backoff_delay(attempt: int, base: float) -> float:

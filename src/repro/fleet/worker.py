@@ -51,7 +51,6 @@ from .protocol import (
     HEARTBEAT_INTERVAL,
     POLL_INTERVAL,
     FleetDirs,
-    ResolvedCounter,
     requeue_task,
 )
 
@@ -88,7 +87,6 @@ class FleetWorker:
         self.points_done = 0
         self._current: Optional[int] = None
         self._beat_stop = threading.Event()
-        self._resolved_counter = ResolvedCounter(self.dirs)
         #: index -> ``not_before`` of tasks this worker handed back
         #: while they cooled down; skipped, unopened, until then
         self._cooling: Dict[int, float] = {}
@@ -226,8 +224,10 @@ class FleetWorker:
                     continue
                 if self.dirs.stopped:
                     break
-                # the cached monotone counter, not a per-poll listing
-                if self._resolved_counter.count() >= self.n_points:
+                # the dispatcher's filename-only progress listing
+                resolved = len(self.dirs.done_indices() |
+                               self.dirs.poison_indices())
+                if resolved >= self.n_points:
                     break  # fully resolved even without a stop flag
                 time.sleep(self.poll_interval)
         finally:

@@ -17,10 +17,13 @@ Each ``run``/``sweep`` with an on-disk cache also records a *sweep
 manifest* (point names, spec hashes, and results) under
 ``<cache-dir>/sweeps/<label>.json`` (``--label`` defaults to the
 scenario name; with ``--no-cache`` no manifest is written and
-``--label`` is rejected).  Manifests are written incrementally — a
-killed sweep leaves a ``"partial": true`` manifest of what finished,
-and because workers cache each result on completion, the rerun
-resumes instead of recomputing.  ``compare`` diffs two
+``--label`` is rejected).  The manifest is rendered from the result
+cache (``manifest.write_manifest``) twice: before computing, marked
+``"partial": true`` when any point is uncached, and once the misses
+are computed — a sweep with nothing to compute writes it once.  A
+killed sweep thus leaves a partial manifest, and because workers
+cache each result on completion, the rerun resumes instead of
+recomputing.  ``compare`` diffs two
 manifests — by label in the cache directory, or by explicit path —
 and renders a markdown (default), JSON or static HTML report (the
 HTML one adds a "Fleet workers" section when either label was run by
@@ -67,7 +70,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..params import parse_grid_sets, parse_value
-from .manifest import dump_manifest, manifest_payload, point_entry, sweeps_dir
+from .manifest import manifest_path, sweeps_dir, write_manifest
 from .registry import get_scenario, scenario_names, SCENARIOS
 from .runner import ScenarioResult, SweepRunner, expand_grid, shard_indices
 from .spec import ScenarioSpec
@@ -167,12 +170,6 @@ def cmd_show(args: argparse.Namespace) -> int:
     return 0
 
 
-# canonical manifest helpers live in .manifest (shared with the fleet
-# dispatcher — byte-identity across writers); the serializer is bound
-# under a module name so tests can observe every manifest write
-_dump_manifest = dump_manifest
-
-
 def _check_label_args(args: argparse.Namespace) -> None:
     """Reject labels that would escape the sweeps directory — before
     the (possibly long) sweep runs, not after."""
@@ -193,25 +190,6 @@ def _records_manifest(args: argparse.Namespace) -> bool:
     return not args.no_cache and not getattr(args, "shard", None)
 
 
-def _write_manifest(args: argparse.Namespace, scenario: str,
-                    specs: Sequence[ScenarioSpec],
-                    results: Sequence[ScenarioResult],
-                    partial: bool = False) -> None:
-    """Record the sweep (points + results) for later `compare` calls.
-    ``partial`` marks an in-flight incremental manifest."""
-    if not _records_manifest(args):
-        return
-    label = args.label or scenario
-    points = [point_entry(s, r) for s, r in zip(specs, results)]
-    payload = manifest_payload(label, scenario, points)
-    if partial:
-        payload["partial"] = True
-    path = sweeps_dir(args.cache_dir) / f"{label}.json"
-    _dump_manifest(payload, path)
-    if not partial:
-        print(f"# sweep manifest: {path}")
-
-
 def _load_manifest(ref: str, cache_dir: str) -> Dict[str, Any]:
     """A manifest by label under <cache-dir>/sweeps/, or by path.
 
@@ -220,7 +198,7 @@ def _load_manifest(ref: str, cache_dir: str) -> Dict[str, Any]:
     a recorded sweep.
     """
     looks_like_path = os.sep in ref or ref.endswith(".json")
-    candidates = [sweeps_dir(cache_dir) / f"{ref}.json", Path(ref)]
+    candidates = [manifest_path(cache_dir, ref), Path(ref)]
     if looks_like_path:
         candidates.reverse()
     for path in candidates:
@@ -236,10 +214,9 @@ def _load_manifest(ref: str, cache_dir: str) -> Dict[str, Any]:
                 raise _UsageError(f"{path} is not a sweep manifest")
             if payload.get("partial"):
                 raise _UsageError(
-                    f"{path} is a partial manifest — its sweep was "
-                    f"killed after {len(payload['points'])} points; "
-                    f"rerun the sweep (it resumes from its cache), "
-                    f"then compare"
+                    f"{path} is a partial manifest — its sweep or "
+                    f"fleet did not finish; rerun it (it resumes from "
+                    f"its cache), then compare"
                 )
             return payload
     known = sorted(
@@ -266,34 +243,21 @@ def _parse_shard(text: str) -> Tuple[int, int]:
     return i, n
 
 
-def _incremental_writer(args: argparse.Namespace, scenario: str,
-                        specs: Sequence[ScenarioSpec]):
-    """The incremental-manifest hook: after every computed point the
-    manifest is rewritten (atomically) with everything completed so
-    far, so a killed sweep leaves a ``"partial": true`` record of its
-    progress.  Resume itself comes from the cache: every computed
-    point is persisted before this hook sees it."""
-    if not _records_manifest(args):
-        return None
-    landed: Dict[str, ScenarioResult] = {}
-
-    def on_result(spec: ScenarioSpec, result: ScenarioResult) -> None:
-        landed[spec.spec_hash()] = result
-        done = [s for s in specs if s.spec_hash() in landed]
-        _write_manifest(args, scenario, done,
-                        [landed[s.spec_hash()] for s in done], partial=True)
-
-    return on_result
-
-
 def _execute(args: argparse.Namespace, runner: SweepRunner,
              scenario: str, specs: Sequence[ScenarioSpec]) -> int:
-    """Run ``specs`` cache-first, report, and record the manifest."""
-    on_result = _incremental_writer(args, scenario, specs)
-    results = runner.run(specs, parallel=not args.serial,
-                         on_result=on_result)
+    """Run ``specs`` cache-first, report, and record the manifest:
+    partial before computing (when anything is uncached), complete
+    after."""
+    label = args.label or scenario
+    records = _records_manifest(args)
+    missing = records and write_manifest(runner.cache, label, scenario,
+                                         specs)
+    results = runner.run(specs)
     _print_results(results, runner)
-    _write_manifest(args, scenario, specs, results)
+    if records:
+        if missing:
+            write_manifest(runner.cache, label, scenario, specs)
+        print(f"# sweep manifest: {manifest_path(args.cache_dir, label)}")
     return 0 if all(r.ok for r in results) else 1
 
 
@@ -423,10 +387,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_exec_options(p: argparse.ArgumentParser) -> None:
         p.add_argument("name")
-        p.add_argument("--serial", action="store_true",
-                       help="run cache misses in-process, no pool")
         p.add_argument("--workers", type=int, default=None,
-                       help="process-pool width (default: cpu count)")
+                       help="process-pool width (default: cpu count; "
+                            "1 runs cache misses in-process)")
         p.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
                        help=f"on-disk result cache "
                             f"(default {DEFAULT_CACHE_DIR})")

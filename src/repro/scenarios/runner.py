@@ -882,19 +882,14 @@ class SweepRunner:
         self,
         specs: Sequence[ScenarioSpec],
         parallel: bool = True,
-        on_result: Optional[Any] = None,
     ) -> List[ScenarioResult]:
         """Run ``specs`` (cache-first), preserving input order.
 
         Duplicate spec hashes are computed once.  With ``parallel``
         (the default) cache misses execute in a process pool; results
         are identical to a serial run because the runner is pure.
-
-        ``on_result(spec, result)`` — when given — is invoked once per
-        *computed* miss as it lands (completion order), which is the
-        incremental-manifest hook: a sweep killed mid-flight has
-        recorded everything it finished.  Cache hits are returned but
-        not streamed (they were already durable).
+        Every computed miss is persisted as it lands, so a killed
+        sweep resumes from what it finished.
         """
         results: List[Optional[ScenarioResult]] = [None] * len(specs)
         miss_index: Dict[str, List[int]] = {}
@@ -909,16 +904,9 @@ class SweepRunner:
         self.misses += len(misses)
         workers = self._effective_workers(len(misses))
         if parallel and workers > 1:
-            computed = self._run_pool(misses, workers, on_result)
+            computed = self._run_pool(misses, workers)
         else:
-            computed = []
-            for spec in misses:
-                # persisted per point, before the manifest hook: a
-                # killed serial sweep resumes like a pooled one
-                result = simulate(spec, self.cache)
-                computed.append(result)
-                if on_result is not None:
-                    on_result(spec, result)
+            computed = [simulate(spec, self.cache) for spec in misses]
         for spec, result in zip(misses, computed):
             for i in miss_index[spec.spec_hash()]:
                 results[i] = result
@@ -954,10 +942,8 @@ class SweepRunner:
             platforms.build_platform(spec.platform)
         workloads.prime_traces(misses, trace_dir(self.cache))
 
-    def _run_pool(
-        self, misses: Sequence[ScenarioSpec], workers: int,
-        on_result: Optional[Any] = None,
-    ) -> List[ScenarioResult]:
+    def _run_pool(self, misses: Sequence[ScenarioSpec],
+                  workers: int) -> List[ScenarioResult]:
         self._prime_templates(misses)
         cache_dir = str(self.cache.root) if self.cache is not None else None
         payloads = [
@@ -978,8 +964,6 @@ class SweepRunner:
                 _memoize(DEFAULT_CONTEXT, misses[i].spec_hash(), result,
                          self.cache)
                 computed[i] = result
-                if on_result is not None:
-                    on_result(misses[i], result)
         # every slot must be filled: a silent gap here would shift the
         # caller's zip(misses, computed) and cache results under wrong
         # spec hashes

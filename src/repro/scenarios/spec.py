@@ -650,7 +650,7 @@ class ScenarioSpec:
 
         Memoized per instance (the spec is frozen, so the hash cannot
         change): sweep bookkeeping — cache lookups, shard partitioning,
-        incremental manifests — asks for it repeatedly, and the
+        manifest writes — asks for it repeatedly, and the
         ``asdict`` walk underneath is not free.
         """
         cached = self.__dict__.get("_spec_hash")

@@ -315,7 +315,7 @@ class TestCompareWorkflow:
         common = [
             "sweep", "recovery-grid",
             "--set", "churn_profile.rate=0.8",
-            "--cache-dir", str(tmp_path), "--serial",
+            "--cache-dir", str(tmp_path), "--workers", "1",
         ]
         assert main(common + ["--set", "seed=2011,2017",
                               "--label", "norejoin"]) == 0

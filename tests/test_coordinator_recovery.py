@@ -649,7 +649,7 @@ class TestCompareWorkflow:
             "sweep", "coordinator-grid",
             "--set", "churn_profile.coordinator_churn_rate=1.5",
             "--set", "seed=2011,2013",
-            "--cache-dir", str(tmp_path), "--serial",
+            "--cache-dir", str(tmp_path), "--workers", "1",
         ]
         assert main(common + ["--set", "recovery.election=false",
                               "--label", "noelection"]) == 0

@@ -78,7 +78,7 @@ def _spawn_env(**extra):
 
 def _serial_manifest(cache: Path) -> Path:
     assert scenarios_main(
-        ["sweep", SCENARIO, "--serial", "--label", "g",
+        ["sweep", SCENARIO, "--workers", "1", "--label", "g",
          "--cache-dir", str(cache)] + DEPLOY_ARGS
     ) == 0
     return cache / "sweeps" / "g.json"
@@ -369,11 +369,11 @@ class TestProtocol:
         assert dirs.active_claims() == []
         assert (dirs.done / dirs.task_name(4)).read_bytes() == claim_bytes
 
-    def test_finish_after_requeue_still_lands_in_done(self, tmp_path,
-                                                      monkeypatch):
-        """The dispatcher requeued the claim while the worker computed
-        (judged dead, say): the worker still records the point done,
-        and the result it computed is in the cache."""
+    @staticmethod
+    def _finish_revoked_claim(tmp_path, monkeypatch, max_retries):
+        """One worker computes point 0 while the dispatcher revokes
+        its claim with ``max_retries``; returns the fleet dirs and
+        the spec."""
         monkeypatch.delenv("REPRO_FLEET_FAULT", raising=False)
         clear_memo()
         cache = tmp_path / "cache"
@@ -388,18 +388,40 @@ class TestProtocol:
         from repro.fleet import worker as worker_module
         real_run_cached = worker_module.run_cached
 
-        def requeued_meanwhile(spec, cache):
+        def revoked_meanwhile(spec, cache):
             (claim,) = dirs.active_claims()
-            requeue_task(dirs, claim, max_retries=3, backoff_base=0.01,
-                         reason="worker w0 died")
+            requeue_task(dirs, claim, max_retries=max_retries,
+                         backoff_base=0.01, reason="worker w0 died")
             return real_run_cached(spec, cache)
 
         monkeypatch.setattr(worker_module, "run_cached",
-                            requeued_meanwhile)
+                            revoked_meanwhile)
         worker._run_task(worker._try_claim())  # noqa: SLF001
+        assert ResultCache(cache).get(spec) is not None
+        return dirs
+
+    def test_finish_after_requeue_still_lands_in_done(self, tmp_path,
+                                                      monkeypatch):
+        """The dispatcher requeued the claim while the worker computed
+        (judged dead, say): the worker still records the point done,
+        the result it computed is in the cache, and the requeued copy
+        is gone, so no worker claims the point again."""
+        dirs = self._finish_revoked_claim(tmp_path, monkeypatch,
+                                          max_retries=3)
         assert dirs.done_indices() == {0}
         assert dirs.active_claims() == []
-        assert ResultCache(cache).get(spec) is not None
+        assert _queued(dirs) == []
+
+    def test_finish_after_quarantine_clears_the_poison_record(
+            self, tmp_path, monkeypatch):
+        """The revoked claim spent its retry budget and went to
+        ``poison/``: the finished point is done, not poisoned, and
+        ``fleet stats`` does not count it."""
+        dirs = self._finish_revoked_claim(tmp_path, monkeypatch,
+                                          max_retries=1)
+        assert dirs.done_indices() == {0}
+        assert dirs.poison_indices() == set()
+        assert fleet_stats(dirs).poisoned == 0
 
     def test_worker_takes_everything_from_the_fleet_dir(self, tmp_path):
         """Intervals, retry budget and backoff come from ``grid.json``;
@@ -486,50 +508,6 @@ class TestProtocol:
         beat = dirs.heartbeats()["w0"]
         assert beat["point"] == 7 and beat["points_done"] == 3
         assert beat["pid"] == os.getpid()
-
-    def test_resolved_counter_tracks_and_never_regresses(self, tmp_path):
-        dirs = FleetDirs(tmp_path / "f").create()
-        from repro.fleet import ResolvedCounter
-
-        counter = ResolvedCounter(dirs, recheck_interval=0.0)
-        assert counter.count() == 0
-        dirs.write_task(dirs.done, {"index": 0, "name": "p",
-                                    "spec_hash": "h"})
-        dirs.mark_poison({"index": 1, "name": "q", "spec_hash": "i"},
-                         reason="bad")
-        assert counter.count() == 2
-        # resolved files never disappear mid-fleet, so a (simulated)
-        # racy undercount must not walk the counter backwards
-        os.unlink(dirs.done / dirs.task_name(0))
-        assert counter.count() == 2
-
-    def test_resolved_counter_caches_between_mtime_changes(
-            self, tmp_path):
-        dirs = FleetDirs(tmp_path / "f").create()
-        from repro.fleet import ResolvedCounter
-
-        counter = ResolvedCounter(dirs, recheck_interval=3600.0)
-        dirs.write_task(dirs.done, {"index": 0, "name": "p",
-                                    "spec_hash": "h"})
-        assert counter.count() == 1
-        calls = {"n": 0}
-        real = dirs.done_indices
-
-        def counted():
-            calls["n"] += 1
-            return real()
-
-        dirs.done_indices = counted
-        # unchanged directories + a fresh check: the cache answers
-        assert counter.count() == 1
-        assert calls["n"] == 0
-        dirs.write_task(dirs.done, {"index": 1, "name": "q",
-                                    "spec_hash": "i"})
-        # force the mtime tick (filesystem granularity can be coarse)
-        stat = os.stat(dirs.done)
-        os.utime(dirs.done, ns=(stat.st_atime_ns, stat.st_mtime_ns + 1))
-        assert counter.count() == 2
-        assert calls["n"] == 1
 
 
 # -- straggler telemetry ------------------------------------------------------
@@ -892,6 +870,67 @@ class TestFleetFaults:
             ["compare", "g", "g", "--cache-dir",
              str(tmp_path / "fleet")]
         ) == 2
+
+
+    def test_wall_timeout_leaves_a_partial_manifest(self, tmp_path,
+                                                    capsys):
+        """A fleet that hits its wall timeout must not leave the
+        label's older complete manifest in place: the label holds a
+        partial manifest of the cached points, and compare refuses
+        it."""
+        cache = tmp_path / "fleet"
+        clear_memo()
+        assert scenarios_main(
+            ["sweep", SCENARIO, "--workers", "1", "--label", "g",
+             "--cache-dir", str(cache), "--set", "platform.n_hosts=32",
+             "--set", "n_peers=4", "--set", "n_zones=1,2",
+             "--set", "seed=2011"]
+        ) == 0
+        clear_memo()
+        dispatcher = FleetDispatcher(
+            _specs(), label="g", scenario=SCENARIO, cache_dir=cache,
+            workers=0, poll_interval=0.05, wall_timeout=0.3,
+        )
+        with pytest.raises(FleetError, match="wall timeout"):
+            dispatcher.run()
+        payload = json.loads((cache / "sweeps" / "g.json").read_text())
+        assert payload["partial"] is True
+        assert len(payload["points"]) == 2
+        capsys.readouterr()
+        assert scenarios_main(
+            ["compare", "g", "g", "--cache-dir", str(cache)]
+        ) == 2
+        assert "partial manifest" in capsys.readouterr().err
+
+    def test_done_and_poisoned_point_is_done(self, tmp_path,
+                                             monkeypatch, capsys):
+        """A quarantine record can land after its point finished (the
+        dispatcher's poison write racing the worker's finish).  A
+        point the cache answers is done: the manifest is complete,
+        nothing is reported poisoned, and ``fleet run`` exits 0."""
+        cache = tmp_path / "shared"
+        serial = _serial_manifest(cache).read_bytes()
+        box = {}
+        real_finalize = FleetDispatcher._finalize  # noqa: SLF001
+
+        def poisoned_late(self, *args):
+            spec = self.specs[3]
+            self.dirs.mark_poison(
+                {"index": 3, "name": spec.name,
+                 "spec_hash": spec.spec_hash(), "attempt": 2},
+                reason="exceeded 1 retries (worker w0 died)")
+            box["outcome"] = real_finalize(self, *args)
+            return box["outcome"]
+
+        monkeypatch.setattr(FleetDispatcher, "_finalize", poisoned_late)
+        assert fleet_main(
+            ["run", SCENARIO, "--label", "g", "--workers", "0",
+             "--cache-dir", str(cache)] + DEPLOY_ARGS
+        ) == 0
+        outcome = box["outcome"]
+        assert outcome.complete and outcome.poisoned == {}
+        assert outcome.manifest_path.read_bytes() == serial
+        assert "POISON" not in capsys.readouterr().out
 
 
 # -- the fleet CLI ------------------------------------------------------------

@@ -552,7 +552,7 @@ class TestCli:
         from repro.scenarios.cli import main
 
         code = main([
-            "sweep", "prediction-grid", "--serial",
+            "sweep", "prediction-grid", "--workers", "1",
             "--cache-dir", str(tmp_path),
             "--set", "selection_policy=predicted,oracle,random",
             "--set", "seed=2011,2013",

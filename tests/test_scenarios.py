@@ -428,7 +428,7 @@ class TestCli:
             "sweep", "xdsl-daisy-chain",
             "--set", "n_peers=2",
             "--set", "workload.n=64", "--set", "workload.nit=30",
-            "--cache-dir", str(tmp_path), "--serial",
+            "--cache-dir", str(tmp_path), "--workers", "1",
         ]
         assert main(argv) == 0
         assert "1 executed" in capsys.readouterr().out
@@ -443,7 +443,7 @@ class TestCli:
         common = [
             "sweep", "xdsl-daisy-chain",
             "--set", "workload.n=64", "--set", "workload.nit=30",
-            "--cache-dir", str(tmp_path), "--serial",
+            "--cache-dir", str(tmp_path), "--workers", "1",
         ]
         assert main(common + ["--set", "n_peers=2",
                               "--label", "two"]) == 0
@@ -496,7 +496,7 @@ class TestCli:
             "sweep", "xdsl-daisy-chain",
             "--set", "n_peers=2", "--set", "workload.n=64",
             "--set", "workload.nit=30",
-            "--cache-dir", str(tmp_path), "--serial", "--label", "lbl",
+            "--cache-dir", str(tmp_path), "--workers", "1", "--label", "lbl",
         ]
         assert main(argv) == 0
         capsys.readouterr()

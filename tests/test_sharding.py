@@ -32,8 +32,9 @@ DEPLOY_GRID = {
 
 
 def _sweep(cache: Path, *extra: str) -> int:
-    return main(["sweep", "large-overlay-512", "--serial", "--label", "g",
-                 "--cache-dir", str(cache)] + DEPLOY_ARGS + list(extra))
+    return main(["sweep", "large-overlay-512", "--workers", "1",
+                 "--label", "g", "--cache-dir", str(cache)]
+                + DEPLOY_ARGS + list(extra))
 
 
 def _manifest(cache: Path, name: str = "g.json") -> Path:
@@ -191,29 +192,56 @@ class TestShardedCli:
         assert main(["compare", "g", "g", "--cache-dir", str(cache)]) == 2
         assert "partial manifest" in capsys.readouterr().err
 
-    def test_incremental_manifest_marks_progress(self, tmp_path):
-        """During a sweep the manifest on disk is a partial record of
-        what finished; the final write clears the marker."""
+    def test_incremental_manifest_marks_progress(self, tmp_path,
+                                                 monkeypatch):
+        """A cold sweep writes its manifest twice: partial with no
+        points before computing, complete after.  A sweep with
+        nothing to compute writes it once."""
         clear_memo()
         cache = tmp_path / "c"
         stages = []
-        from repro.scenarios import cli as cli_mod
+        from repro.scenarios import manifest
 
-        original = cli_mod._dump_manifest
+        real_dump = manifest.dump_manifest
 
         def spy(payload, path):
             stages.append((payload.get("partial", False),
                            len(payload["points"])))
-            original(payload, path)
+            real_dump(payload, path)
 
-        cli_mod._dump_manifest = spy
-        try:
-            assert _sweep(cache) == 0
-        finally:
-            cli_mod._dump_manifest = original
-        assert stages[-1] == (False, 12)  # final manifest: complete
-        partials = [n for partial, n in stages if partial]
-        assert partials == sorted(partials)  # grows monotonically
-        assert len(partials) == 12  # one incremental write per point
-        final = json.loads(_manifest(cache).read_text())
-        assert "partial" not in final
+        monkeypatch.setattr(manifest, "dump_manifest", spy)
+        assert _sweep(cache) == 0
+        assert stages == [(True, 0), (False, 12)]
+        assert "partial" not in json.loads(_manifest(cache).read_text())
+        stages.clear()
+        clear_memo()
+        assert _sweep(cache) == 0
+        assert stages == [(False, 12)]
+
+    def test_sweep_killed_at_first_miss_leaves_partial_manifest(
+            self, tmp_path, monkeypatch, capsys):
+        """A sweep that dies before it computes anything must not
+        leave the label's older complete manifest in place: the label
+        holds a partial manifest of the cached points, and compare
+        refuses it."""
+        clear_memo()
+        cache = tmp_path / "c"
+        assert main(["sweep", "large-overlay-512", "--workers", "1",
+                     "--label", "g", "--cache-dir", str(cache),
+                     "--set", "platform.n_hosts=32", "--set", "n_peers=4",
+                     "--set", "n_zones=1,2", "--set", "seed=2011"]) == 0
+        assert "partial" not in json.loads(_manifest(cache).read_text())
+
+        def killed(*_args, **_kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("repro.scenarios.runner.run_scenario", killed)
+        clear_memo()
+        with pytest.raises(KeyboardInterrupt):
+            _sweep(cache)
+        payload = json.loads(_manifest(cache).read_text())
+        assert payload["partial"] is True
+        assert len(payload["points"]) == 2
+        capsys.readouterr()
+        assert main(["compare", "g", "g", "--cache-dir", str(cache)]) == 2
+        assert "partial manifest" in capsys.readouterr().err

@@ -184,9 +184,9 @@ def test_serial_sweep_holds_no_world_between_points(worlds):
     alive_after = []
     gc.disable()
     try:
-        runner.run(points[1:], parallel=False,
-                   on_result=lambda spec, result:
-                   alive_after.append(_alive(worlds)))
+        for point in points[1:]:
+            runner.run([point], parallel=False)
+            alive_after.append(_alive(worlds))
         assert len(alive_after) == 19
         assert alive_after == [[]] * 19
         assert _repro_garbage() == []
